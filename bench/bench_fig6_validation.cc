@@ -7,12 +7,12 @@
 // for Naive-Snapshot and Copy-on-Update (the algorithms the paper
 // validated; --all runs all six).
 //
-// Substitution note (see DESIGN.md): the paper used a dedicated SATA disk
-// via a raw block device and a 40 MB state at 30 Hz wall-clock. Here the
-// state is scaled (default ~10 MB) and files live on the host filesystem,
-// so absolute numbers differ; the validation claim is about *shape*:
-// simulated and measured overhead/checkpoint/recovery track each other as
-// the update rate scales.
+// Substitution note: the paper used a dedicated SATA disk via a raw block
+// device and a 40 MB state at 30 Hz wall-clock. Here the state is scaled
+// (default ~10 MB) and files live on the host filesystem, so absolute
+// numbers differ; the validation claim is about *shape*: simulated and
+// measured overhead/checkpoint/recovery track each other as the update
+// rate scales.
 #include <filesystem>
 
 #include "bench/bench_util.h"

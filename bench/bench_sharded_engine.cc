@@ -22,6 +22,7 @@
 #include "bench/bench_util.h"
 #include "engine/fleet.h"
 #include "engine/mutator.h"
+#include "engine/paths.h"
 #include "engine/recovery.h"
 #include "engine/sharded_engine.h"
 #include "game/shard_adapter.h"
@@ -445,7 +446,7 @@ StatusOr<FailoverRunResult> RunFailoverFleet(const std::string& dir,
 
   FailoverRunResult result;
   EngineConfig dead = config.shard;
-  dead.dir = ShardedEngine::ShardDir(
+  dead.dir = paths::ShardDir(
       dir, fleet->engine().manifest().assignment[victim]);
   dead.manual_checkpoints = true;
   StateTable disk_table(params.layout);

@@ -9,6 +9,7 @@
 #define TICKPOINT_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <string>
 #include <vector>
@@ -24,10 +25,16 @@ namespace bench {
 /// Parses flags, handles --help, and rejects unknown flags at exit.
 class BenchContext {
  public:
+  /// With --help (or -h) prints the harness name and description and
+  /// exits 0 before any workload runs.
   BenchContext(int argc, char** argv, const std::string& name,
                const std::string& description)
       : name_(name), description_(description) {
     TP_CHECK_OK(flags_.Parse(argc, argv));
+    if (flags_.help_requested()) {
+      std::printf("%s\n%s\n", name_.c_str(), description_.c_str());
+      std::exit(0);
+    }
   }
 
   Flags& flags() { return flags_; }

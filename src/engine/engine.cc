@@ -310,11 +310,12 @@ Status Engine::EndTick() {
         TP_RETURN_NOT_OK(writer_status_);
         FinalizeJob();
       }
-      TP_ASSIGN_OR_RETURN(pause, StartCheckpoint(/*cut=*/true));
+      TP_ASSIGN_OR_RETURN(pause, StartCheckpoint(stall_start));
       last_start_tick_ = tick_;
       if (config_.io_backend == IoBackendKind::kSync) {
         // Sync backend: block until the cut image is durable; the whole
-        // block is the mutator stall the fleet bench reports.
+        // block is the mutator stall the fleet bench reports (the writer
+        // is idle again, so the job may be rewritten here).
         WaitForJobDone();
         TP_RETURN_NOT_OK(writer_status_);
         active_job_->cut_stall_seconds = SecondsSince(stall_start);
@@ -328,8 +329,8 @@ Status Engine::EndTick() {
         // content is already decided; the write itself completes on the
         // writer thread and is reaped at a later tick boundary (or by
         // CompletePendingCheckpoint). The mutator-visible stall is the
-        // drain + snapshot only -- never the disk.
-        active_job_->cut_stall_seconds = SecondsSince(stall_start);
+        // drain + snapshot only -- never the disk -- and StartCheckpoint
+        // recorded it before publishing the job to the writer thread.
         pause = active_job_->cut_stall_seconds;
       }
     }
@@ -359,13 +360,14 @@ Status Engine::EndTick() {
   return Status::OK();
 }
 
-StatusOr<double> Engine::StartCheckpoint(bool cut) {
+StatusOr<double> Engine::StartCheckpoint(
+    std::optional<Clock::time_point> cut_stall_start) {
   TP_CHECK(!active_job_.has_value());
   Job job;
   job.seq = checkpoint_seq_++;
   job.start_tick = tick_;
   job.consistent_ticks = tick_ + 1;  // effects of ticks [0, tick_] included
-  job.cut = cut;
+  job.cut = cut_stall_start.has_value();
   job.full_flush =
       traits_.partial_redo && (job.seq % config_.full_flush_period == 0);
 
@@ -434,6 +436,7 @@ StatusOr<double> Engine::StartCheckpoint(bool cut) {
     copied_.ClearAll();
   }
   job.sync_seconds = pause;
+  if (job.cut) job.cut_stall_seconds = SecondsSince(*cut_stall_start);
 
   active_job_ = job;
   job_done_.store(false, std::memory_order_release);

@@ -31,6 +31,7 @@
 #define TICKPOINT_ENGINE_ENGINE_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -84,7 +85,7 @@ struct EngineConfig {
   /// Point-in-time recovery history (engine/history.h): when enabled,
   /// every completed checkpoint is additionally archived as a generation
   /// under `<dir>/history`, bounded by the policy. Persisted fleet-wide in
-  /// the v4 manifest, not per-engine.
+  /// the fleet manifest, not per-engine.
   RetentionPolicy retention;
 };
 
@@ -286,7 +287,11 @@ class Engine {
   /// Handle-Update (Table 2): dirty-bit maintenance + copy on update.
   void HandleUpdate(ObjectId object);
   /// Copy-To-Memory + checkpoint scheduling; returns the pause seconds.
-  StatusOr<double> StartCheckpoint(bool cut = false);
+  /// `cut_stall_start` marks a consistent-cut checkpoint: the stall since
+  /// then is recorded in the job before the writer thread can see it.
+  StatusOr<double> StartCheckpoint(
+      std::optional<std::chrono::steady_clock::time_point> cut_stall_start =
+          std::nullopt);
   void FinalizeJob();
   /// Blocks the mutator until the writer reports the in-flight job done
   /// (the synchronous half of a cut checkpoint).

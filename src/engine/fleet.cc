@@ -24,16 +24,30 @@ bool HasShardDirs(const std::string& root) {
 
 }  // namespace
 
+StatusOr<RecoveredFleet> RecoveredFleet::Build(
+    const std::string& root,
+    const std::function<StatusOr<FleetRecoveryOutcome>(
+        std::vector<StateTable>*)>& recover,
+    std::optional<uint64_t> target_tick) {
+  RecoveredFleet recovered;
+  recovered.root_ = root;
+  TP_ASSIGN_OR_RETURN(FleetRecoveryOutcome outcome,
+                      recover(&recovered.tables_));
+  recovered.manifest_ = std::move(outcome.manifest);
+  recovered.result_ = std::move(outcome.result);
+  recovered.target_tick_ = target_tick;
+  return recovered;
+}
+
 StatusOr<std::unique_ptr<Fleet>> RecoveredFleet::Resume() {
-  const ShardedEngineConfig config = ConfigFromManifest(manifest_, root_);
   // A point-in-time landing resumes as a NEW fleet epoch (committed after
   // every bootstrap is durable): the old timeline's future generations are
   // retired inside each Engine::OpenResumed, and the epoch bump is the
   // fleet-wide commit point of the new timeline.
   TP_ASSIGN_OR_RETURN(
       auto engine,
-      ShardedEngine::OpenResumed(config, tables_, resume_tick(),
-                                 /*bump_epoch=*/at_tick_));
+      ShardedEngine::OpenResumed(root_, manifest_, tables_, resume_tick(),
+                                 /*bump_epoch=*/at_requested_tick()));
   return std::unique_ptr<Fleet>(new Fleet(root_, std::move(engine)));
 }
 
@@ -74,13 +88,25 @@ StatusOr<std::unique_ptr<Fleet>> Fleet::Open(const std::string& root) {
 }
 
 StatusOr<RecoveredFleet> Fleet::Recover(const std::string& root) {
-  RecoveredFleet recovered;
-  recovered.root_ = root;
-  TP_ASSIGN_OR_RETURN(FleetRecoveryOutcome outcome,
-                      RecoverFleet(root, &recovered.tables_));
-  recovered.manifest_ = std::move(outcome.manifest);
-  recovered.result_ = std::move(outcome.result);
-  return recovered;
+  return RecoveredFleet::Build(root, [&](std::vector<StateTable>* out) {
+    return RecoverFleet(root, out);
+  });
+}
+
+StatusOr<RecoveredFleet> Fleet::RecoverToCut(const std::string& root) {
+  return RecoveredFleet::Build(root, [&](std::vector<StateTable>* out) {
+    return RecoverFleetToCut(root, out);
+  });
+}
+
+StatusOr<RecoveredFleet> Fleet::RecoverToTick(const std::string& root,
+                                              uint64_t tick) {
+  return RecoveredFleet::Build(
+      root,
+      [&](std::vector<StateTable>* out) {
+        return RecoverFleetToTick(root, tick, out);
+      },
+      tick);
 }
 
 Status Fleet::EndTick() {
@@ -99,29 +125,6 @@ Status Fleet::EnableAutoRebalance(const RebalancePolicy& policy) {
   }
   rebalancer_ = std::make_unique<Rebalancer>(policy);
   return Status::OK();
-}
-
-StatusOr<RecoveredFleet> Fleet::RecoverToCut(const std::string& root) {
-  RecoveredFleet recovered;
-  recovered.root_ = root;
-  TP_ASSIGN_OR_RETURN(FleetRecoveryOutcome outcome,
-                      RecoverFleetToCut(root, &recovered.tables_));
-  recovered.manifest_ = std::move(outcome.manifest);
-  recovered.result_ = std::move(outcome.result);
-  return recovered;
-}
-
-StatusOr<RecoveredFleet> Fleet::RecoverToTick(const std::string& root,
-                                              uint64_t tick) {
-  RecoveredFleet recovered;
-  recovered.root_ = root;
-  recovered.target_tick_ = tick;
-  TP_ASSIGN_OR_RETURN(FleetRecoveryOutcome outcome,
-                      RecoverFleetToTick(root, tick, &recovered.tables_));
-  recovered.manifest_ = std::move(outcome.manifest);
-  recovered.result_ = std::move(outcome.result);
-  recovered.at_tick_ = recovered.result_.used_manifest;
-  return recovered;
 }
 
 StatusOr<HistoryWindow> Fleet::RestorableWindow(const std::string& root) {

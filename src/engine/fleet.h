@@ -22,7 +22,8 @@
 //                                   stats; .Resume() restarts the fleet.
 //   Fleet::RecoverToCut(root)    -- like Recover, but lands on the
 //                                   committed consistent cut when one is
-//                                   reproducible.
+//                                   reproducible (through retained history
+//                                   when the live stores moved past it).
 // The handle forwards the tick/cut API of ShardedEngine and adds
 // MigratePartition -- the zone hand-off at a committed cut that bumps the
 // fleet epoch (see ShardedEngine::MigratePartition for the protocol) --
@@ -33,7 +34,9 @@
 #define TICKPOINT_ENGINE_FLEET_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,8 +51,8 @@ namespace tickpoint {
 
 class Fleet;
 
-/// The output of Fleet::Recover/RecoverToCut: everything read back from
-/// disk, ready to inspect or to Resume() into a live fleet.
+/// The output of Fleet::Recover/RecoverToCut/RecoverToTick: everything
+/// read back from disk, ready to inspect or to Resume() into a live fleet.
 class RecoveredFleet {
  public:
   /// The durable fleet description recovery ran under.
@@ -72,10 +75,12 @@ class RecoveredFleet {
   /// Fleet::RecoverToTick only: true when every shard landed at exactly
   /// the requested tick; false when some shard could not reproduce it and
   /// the whole fleet fell back to latest recovery (see target_tick()).
-  bool at_requested_tick() const { return at_tick_; }
+  bool at_requested_tick() const {
+    return target_tick_.has_value() && result_.used_manifest;
+  }
   /// The tick Fleet::RecoverToTick was asked for (meaningful whether or
   /// not it was reached).
-  uint64_t target_tick() const { return target_tick_; }
+  uint64_t target_tick() const { return target_tick_.value_or(0); }
 
   /// Restarts the fleet from this recovered state (the
   /// ShardedEngine::OpenResumed workflow: per-partition synchronous
@@ -88,12 +93,22 @@ class RecoveredFleet {
 
  private:
   friend class Fleet;
+
+  /// The one builder behind Fleet::Recover/RecoverToCut/RecoverToTick:
+  /// runs `recover` into the tables and adopts the manifest and result it
+  /// read. `target_tick` is set for point-in-time recovery only.
+  static StatusOr<RecoveredFleet> Build(
+      const std::string& root,
+      const std::function<StatusOr<FleetRecoveryOutcome>(
+          std::vector<StateTable>*)>& recover,
+      std::optional<uint64_t> target_tick = std::nullopt);
+
   std::string root_;
   FleetManifest manifest_;
   ShardedCutRecoveryResult result_;
   std::vector<StateTable> tables_;
-  bool at_tick_ = false;
-  uint64_t target_tick_ = 0;
+  /// Set by Fleet::RecoverToTick only.
+  std::optional<uint64_t> target_tick_;
 };
 
 /// A live sharded checkpoint fleet bound to its self-describing root.
@@ -118,7 +133,8 @@ class Fleet {
   static StatusOr<RecoveredFleet> Recover(const std::string& root);
 
   /// Like Recover, but lands on the committed consistent cut when one is
-  /// reproducible (per-shard exact fallback otherwise).
+  /// reproducible, from the live stores or, with retention on, from
+  /// retained history (latest recovery fleet-wide otherwise).
   static StatusOr<RecoveredFleet> RecoverToCut(const std::string& root);
 
   /// Point-in-time recovery (retention must have been enabled when the

@@ -13,15 +13,11 @@ namespace tickpoint {
 namespace {
 
 constexpr uint64_t kFleetMagic = 0x544B5054464C5431ULL;  // "TKPTFLT1"
-// v2 (replication era): the 16-byte extension below plus a replica_peer
-// u32 per partition after the assignment. v1 files (no extension, no
-// peers) still read back, with replication off.
-// v3 (rebalancing era): a length-prefixed mount-root string per partition
-// after the peers, so a migrated partition can live on a different disk.
-// v1/v2 files read back with every partition under the fleet root.
-// v4 (point-in-time recovery era): the 24-byte retention extension after
-// the mount roots, carrying the history RetentionPolicy durably. v1-v3
-// files read back with retention off.
+// The one format this binary reads and writes. On disk, in order:
+// ManifestHeader, ReplicationExt, one u32 shard slot per partition, one
+// u32 replica peer per partition, one length-prefixed mount-root string
+// per partition, RetentionExt, and a CRC32 of everything before it. Any
+// other version is refused (FailedPrecondition), never guessed at.
 constexpr uint32_t kFleetVersion = 4;
 /// Defensive bound on K when reading untrusted bytes: a corrupt
 /// num_partitions must not drive a multi-gigabyte allocation.
@@ -60,44 +56,34 @@ static_assert(sizeof(ManifestHeader) == 112,
               "ManifestHeader must stay padding-free: the CRC covers raw "
               "bytes");
 
-/// The v2 extension, written (and CRC'd) immediately after ManifestHeader.
-/// A separate struct rather than new ManifestHeader fields so v1 files --
-/// whose CRC covers exactly the 112 header bytes plus the assignment --
-/// keep reading back byte-for-byte.
-struct ManifestHeaderV2Ext {
+/// The replication knobs, written (and CRC'd) immediately after
+/// ManifestHeader.
+struct ReplicationExt {
   uint64_t replica_depth = 0;
   uint8_t replicate = 0;
   uint8_t reserved[7] = {0, 0, 0, 0, 0, 0, 0};
 };
-static_assert(sizeof(ManifestHeaderV2Ext) == 16,
-              "ManifestHeaderV2Ext must stay padding-free: the CRC covers "
-              "raw bytes");
+static_assert(sizeof(ReplicationExt) == 16,
+              "ReplicationExt must stay padding-free: the CRC covers raw "
+              "bytes");
 
-/// The v4 extension, written (and CRC'd) after the mount-root strings: the
-/// durable form of RetentionPolicy (engine/history.h). Trailing so v3
-/// files keep reading back byte-for-byte.
-struct ManifestHeaderV4Ext {
+/// The durable form of RetentionPolicy (engine/history.h), written (and
+/// CRC'd) after the mount-root strings.
+struct RetentionExt {
   uint64_t max_generations = 0;
   uint64_t max_retained_ticks = 0;
   uint8_t retention_enabled = 0;
   uint8_t reserved[7] = {0, 0, 0, 0, 0, 0, 0};
 };
-static_assert(sizeof(ManifestHeaderV4Ext) == 24,
-              "ManifestHeaderV4Ext must stay padding-free: the CRC covers "
-              "raw bytes");
+static_assert(sizeof(RetentionExt) == 24,
+              "RetentionExt must stay padding-free: the CRC covers raw "
+              "bytes");
 
+/// Cross-field checks on a manifest the reader decoded. The partition
+/// count, every per-partition vector's length and each mount root's length
+/// are already bounded by the decoding itself.
 Status ValidateManifest(const FleetManifest& manifest,
                         const std::string& path) {
-  if (manifest.num_partitions == 0 ||
-      manifest.num_partitions > kMaxPartitions) {
-    return Status::Corruption("fleet manifest " + path +
-                              " records an implausible partition count " +
-                              std::to_string(manifest.num_partitions));
-  }
-  if (manifest.assignment.size() != manifest.num_partitions) {
-    return Status::Corruption("fleet manifest " + path +
-                              " assignment size mismatch");
-  }
   std::unordered_set<uint32_t> slots;
   for (const uint32_t slot : manifest.assignment) {
     if (!slots.insert(slot).second) {
@@ -122,27 +108,12 @@ Status ValidateManifest(const FleetManifest& manifest,
       return Status::Corruption("fleet manifest " + path +
                                 " enables replication with replica_depth 0");
     }
-    if (manifest.replica_peer.size() != manifest.num_partitions) {
-      return Status::Corruption("fleet manifest " + path +
-                                " replica_peer size mismatch");
-    }
     for (const uint32_t peer : manifest.replica_peer) {
       if (peer >= manifest.num_partitions) {
         return Status::Corruption(
             "fleet manifest " + path + " names replica peer " +
             std::to_string(peer) + " beyond its partition count");
       }
-    }
-  }
-  if (!manifest.mount_root.empty() &&
-      manifest.mount_root.size() != manifest.num_partitions) {
-    return Status::Corruption("fleet manifest " + path +
-                              " mount_root size mismatch");
-  }
-  for (const std::string& mount : manifest.mount_root) {
-    if (mount.size() > kMaxMountRootBytes) {
-      return Status::Corruption("fleet manifest " + path +
-                                " records an implausibly long mount root");
     }
   }
   if (!manifest.retention.Valid()) {
@@ -166,13 +137,6 @@ std::string FleetManifest::MountRootOf(uint32_t partition) const {
   if (mount_root.empty()) return "";
   TP_CHECK(mount_root.size() == assignment.size());
   return mount_root[partition];
-}
-
-bool FleetManifest::IsIdentityAssignment() const {
-  for (uint32_t p = 0; p < assignment.size(); ++p) {
-    if (assignment[p] != p) return false;
-  }
-  return true;
 }
 
 Status WriteFleetManifest(const std::string& root,
@@ -207,7 +171,7 @@ Status WriteFleetManifest(const std::string& root,
     header.threaded = manifest.threaded ? 1 : 0;
     TP_RETURN_NOT_OK(writer.Append(&header, sizeof(header)));
     uint32_t crc = Crc32(&header, sizeof(header));
-    ManifestHeaderV2Ext ext;
+    ReplicationExt ext;
     ext.replica_depth = manifest.replica_depth;
     ext.replicate = manifest.replicate ? 1 : 0;
     TP_RETURN_NOT_OK(writer.Append(&ext, sizeof(ext)));
@@ -217,7 +181,7 @@ Status WriteFleetManifest(const std::string& root,
       crc = Crc32(&slot, sizeof(slot), crc);
     }
     // The peer vector is written resolved even with replication off (the
-    // replicate flag gates its meaning), so the v2 record length is a pure
+    // replicate flag gates its meaning), so the record length is a pure
     // function of num_partitions. An empty vector resolves to the default
     // ring here, keeping non-replicated construction sites unchanged.
     std::vector<uint32_t> peers = manifest.replica_peer;
@@ -232,7 +196,7 @@ Status WriteFleetManifest(const std::string& root,
       TP_RETURN_NOT_OK(writer.Append(&peer, sizeof(peer)));
       crc = Crc32(&peer, sizeof(peer), crc);
     }
-    // v3: one length-prefixed mount-root string per partition. An empty
+    // One length-prefixed mount-root string per partition. An empty
     // manifest vector writes num_partitions empty strings, so the record
     // shape never depends on whether any override is actually set.
     TP_CHECK(manifest.mount_root.empty() ||
@@ -249,10 +213,10 @@ Status WriteFleetManifest(const std::string& root,
         crc = Crc32(mount.data(), len, crc);
       }
     }
-    // v4: the retention policy, written unconditionally (disabled policies
+    // The retention policy, written unconditionally (disabled policies
     // serialize their knobs too, so toggling retention never changes the
     // record shape).
-    ManifestHeaderV4Ext retention_ext;
+    RetentionExt retention_ext;
     retention_ext.max_generations = manifest.retention.max_generations;
     retention_ext.max_retained_ticks = manifest.retention.max_retained_ticks;
     retention_ext.retention_enabled = manifest.retention.enabled ? 1 : 0;
@@ -293,45 +257,36 @@ StatusOr<FleetManifest> ReadFleetManifestFile(const std::string& path) {
   if (header.magic != kFleetMagic) {
     return Status::Corruption("fleet manifest " + path + " has a bad magic");
   }
-  if (header.version > kFleetVersion) {
-    // Deliberately NOT Corruption: recovery must refuse, not fall back to
-    // an older epoch, when the fleet was written by a newer binary.
-    return Status::FailedPrecondition(
-        "fleet manifest " + path + " has format version " +
-        std::to_string(header.version) + "; this binary understands up to " +
-        std::to_string(kFleetVersion));
-  }
   if (header.version == 0) {
     return Status::Corruption("fleet manifest " + path +
                               " has version 0 (torn header?)");
+  }
+  if (header.version != kFleetVersion) {
+    // Deliberately NOT Corruption: recovery must refuse, not fall back to
+    // an older epoch, which would carry the same foreign format.
+    return Status::FailedPrecondition(
+        "fleet manifest " + path + " has format version " +
+        std::to_string(header.version) + "; this binary reads only version " +
+        std::to_string(kFleetVersion));
   }
   if (header.num_partitions == 0 || header.num_partitions > kMaxPartitions) {
     return Status::Corruption("fleet manifest " + path +
                               " records an implausible partition count " +
                               std::to_string(header.num_partitions));
   }
-  // v1: header + assignment + CRC. v2 adds the 16-byte extension and one
-  // replica_peer u32 per partition. v3 adds one length-prefixed mount-root
-  // string per partition (variable length; `expected` counts the length
-  // words only, the minimum, and ReadExact catches a body truncated
-  // mid-string).
-  const bool v2 = header.version >= 2;
-  const bool v3 = header.version >= 3;
-  const bool v4 = header.version >= 4;
-  const uint64_t expected =
-      sizeof(header) + (v2 ? sizeof(ManifestHeaderV2Ext) : 0) +
-      header.num_partitions * sizeof(uint32_t) *
-          ((v2 ? 2 : 1) + (v3 ? 1 : 0)) +
-      (v4 ? sizeof(ManifestHeaderV4Ext) : 0) + sizeof(uint32_t);
+  // The mount-root strings are variable length: `expected` counts only
+  // their length words (the minimum), and ReadExact catches a body
+  // truncated mid-string.
+  const uint64_t expected = sizeof(header) + sizeof(ReplicationExt) +
+                            header.num_partitions * sizeof(uint32_t) * 3 +
+                            sizeof(RetentionExt) + sizeof(uint32_t);
   if (size < expected) {
     return Status::Corruption("fleet manifest " + path + " is truncated");
   }
   uint32_t crc = Crc32(&header, sizeof(header));
-  ManifestHeaderV2Ext ext;
-  if (v2) {
-    TP_RETURN_NOT_OK(reader.ReadExact(&ext, sizeof(ext)));
-    crc = Crc32(&ext, sizeof(ext), crc);
-  }
+  ReplicationExt ext;
+  TP_RETURN_NOT_OK(reader.ReadExact(&ext, sizeof(ext)));
+  crc = Crc32(&ext, sizeof(ext), crc);
   FleetManifest manifest;
   manifest.epoch = header.epoch;
   manifest.num_partitions = header.num_partitions;
@@ -351,56 +306,39 @@ StatusOr<FleetManifest> ReadFleetManifestFile(const std::string& path) {
   manifest.staggered = header.staggered != 0;
   manifest.adaptive = header.adaptive != 0;
   manifest.threaded = header.threaded != 0;
+  manifest.replicate = ext.replicate != 0;
+  manifest.replica_depth = ext.replica_depth;
   manifest.assignment.resize(header.num_partitions);
   for (uint32_t& slot : manifest.assignment) {
     TP_RETURN_NOT_OK(reader.ReadExact(&slot, sizeof(slot)));
     crc = Crc32(&slot, sizeof(slot), crc);
   }
-  if (v2) {
-    manifest.replicate = ext.replicate != 0;
-    manifest.replica_depth = ext.replica_depth;
-    manifest.replica_peer.resize(header.num_partitions);
-    for (uint32_t& peer : manifest.replica_peer) {
-      TP_RETURN_NOT_OK(reader.ReadExact(&peer, sizeof(peer)));
-      crc = Crc32(&peer, sizeof(peer), crc);
+  manifest.replica_peer.resize(header.num_partitions);
+  for (uint32_t& peer : manifest.replica_peer) {
+    TP_RETURN_NOT_OK(reader.ReadExact(&peer, sizeof(peer)));
+    crc = Crc32(&peer, sizeof(peer), crc);
+  }
+  manifest.mount_root.resize(header.num_partitions);
+  for (std::string& mount : manifest.mount_root) {
+    uint32_t len = 0;
+    TP_RETURN_NOT_OK(reader.ReadExact(&len, sizeof(len)));
+    crc = Crc32(&len, sizeof(len), crc);
+    if (len > kMaxMountRootBytes) {
+      return Status::Corruption("fleet manifest " + path +
+                                " records an implausibly long mount root");
     }
-  } else {
-    // A pre-replication fleet: resumes with replication off (the struct
-    // defaults say depth 32, but nothing consumes it while !replicate).
-    manifest.replicate = false;
-    manifest.replica_peer.clear();
-  }
-  if (v3) {
-    manifest.mount_root.resize(header.num_partitions);
-    for (std::string& mount : manifest.mount_root) {
-      uint32_t len = 0;
-      TP_RETURN_NOT_OK(reader.ReadExact(&len, sizeof(len)));
-      crc = Crc32(&len, sizeof(len), crc);
-      if (len > kMaxMountRootBytes) {
-        return Status::Corruption("fleet manifest " + path +
-                                  " records an implausibly long mount root");
-      }
-      if (len > 0) {
-        mount.resize(len);
-        TP_RETURN_NOT_OK(reader.ReadExact(mount.data(), len));
-        crc = Crc32(mount.data(), len, crc);
-      }
+    if (len > 0) {
+      mount.resize(len);
+      TP_RETURN_NOT_OK(reader.ReadExact(mount.data(), len));
+      crc = Crc32(mount.data(), len, crc);
     }
-  } else {
-    // A pre-rebalancing fleet: every partition lives under the fleet root.
-    manifest.mount_root.clear();
   }
-  if (v4) {
-    ManifestHeaderV4Ext retention_ext;
-    TP_RETURN_NOT_OK(reader.ReadExact(&retention_ext, sizeof(retention_ext)));
-    crc = Crc32(&retention_ext, sizeof(retention_ext), crc);
-    manifest.retention.enabled = retention_ext.retention_enabled != 0;
-    manifest.retention.max_generations = retention_ext.max_generations;
-    manifest.retention.max_retained_ticks = retention_ext.max_retained_ticks;
-  } else {
-    // A pre-history fleet: resumes with retention off.
-    manifest.retention = RetentionPolicy{};
-  }
+  RetentionExt retention_ext;
+  TP_RETURN_NOT_OK(reader.ReadExact(&retention_ext, sizeof(retention_ext)));
+  crc = Crc32(&retention_ext, sizeof(retention_ext), crc);
+  manifest.retention.enabled = retention_ext.retention_enabled != 0;
+  manifest.retention.max_generations = retention_ext.max_generations;
+  manifest.retention.max_retained_ticks = retention_ext.max_retained_ticks;
   uint32_t stored;
   TP_RETURN_NOT_OK(reader.ReadExact(&stored, sizeof(stored)));
   if (stored != crc) {
@@ -434,8 +372,7 @@ StatusOr<FleetManifest> ReadNewestFleetManifest(const std::string& root) {
   const std::vector<uint64_t> epochs = ListFleetManifestEpochs(root);
   if (epochs.empty()) {
     return Status::NotFound("no fleet manifest under " + root +
-                            " (not a fleet root, or created before the "
-                            "manifest was introduced)");
+                            " (not a fleet root)");
   }
   Status newest_error = Status::OK();
   for (const uint64_t epoch : epochs) {
@@ -443,8 +380,9 @@ StatusOr<FleetManifest> ReadNewestFleetManifest(const std::string& root) {
         ReadFleetManifestFile(paths::FleetManifestPath(root, epoch));
     if (manifest_or.ok()) return manifest_or;
     if (manifest_or.status().code() == StatusCode::kFailedPrecondition) {
-      // Future-version fleet: refusing is the only safe answer; silently
-      // recovering an older epoch would resurrect a pre-upgrade topology.
+      // A foreign format version: refusing is the only safe answer;
+      // silently recovering an older epoch would resurrect a stale
+      // topology (or fail the same way).
       return manifest_or.status();
     }
     if (newest_error.ok()) newest_error = manifest_or.status();

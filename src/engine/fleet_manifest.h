@@ -59,29 +59,28 @@ struct FleetManifest {
   bool threaded = true;
   uint64_t max_queue_ticks = 64;
   uint64_t cut_lead_ticks = 2;
-  // Replication / hot failover (format v2). The manifest carries the
-  // active-replica designation durably, so a restarted fleet rebuilds the
-  // same replication topology and FailoverShard keeps working across a
-  // fleet restart. Manifests written by format v1 read back with
-  // `replicate` false.
+  // Replication / hot failover. The manifest carries the active-replica
+  // designation durably, so a restarted fleet rebuilds the same
+  // replication topology and FailoverShard keeps working across a fleet
+  // restart.
   bool replicate = false;
   /// Bound on each replica buffer's in-flight tick-delta ring.
   uint64_t replica_depth = 32;
   /// Active-replica designation: replica_peer[p] = the partition whose
   /// runner hosts partition p's in-memory replica. Resolved (never empty)
-  /// in a v2 manifest; meaningful only when `replicate` is set.
+  /// once read back; meaningful only when `replicate` is set.
   std::vector<uint32_t> replica_peer;
-  /// Per-partition mount-point override (format v3): when mount_root[p] is
-  /// non-empty, partition p's shard directory lives under that path
-  /// instead of the fleet root -- how a migration lands on a different
-  /// disk. Either empty (every partition under the fleet root; what v1/v2
-  /// files read back as) or exactly num_partitions entries.
+  /// Per-partition mount-point override: when mount_root[p] is non-empty,
+  /// partition p's shard directory lives under that path instead of the
+  /// fleet root -- how a migration lands on a different disk. Either empty
+  /// (every partition under the fleet root) or exactly num_partitions
+  /// entries.
   std::vector<std::string> mount_root;
-  /// History retention (format v4): the point-in-time recovery window
-  /// every shard keeps (checkpoint generations + archived logical-log
-  /// segments, engine/history.h). Durable in the manifest so the writer
-  /// that archives and every post-crash reader that restores agree on the
-  /// window. v1-v3 files read back with retention off.
+  /// History retention: the point-in-time recovery window every shard
+  /// keeps (checkpoint generations + archived logical-log segments,
+  /// engine/history.h). Durable in the manifest so the writer that
+  /// archives and every post-crash reader that restores agree on the
+  /// window.
   RetentionPolicy retention;
   // Conversions to/from ShardedEngineConfig live in sharded_engine.h
   // (ManifestFromConfig / ConfigFromManifest) to keep this header free of
@@ -93,10 +92,6 @@ struct FleetManifest {
 
   /// mount_root[p], or "" when no overrides are recorded.
   std::string MountRootOf(uint32_t partition) const;
-
-  /// True when assignment[p] == p for all partitions (a fleet the
-  /// deprecated config-supplying free functions can still recover).
-  bool IsIdentityAssignment() const;
 };
 
 /// Atomically publishes `manifest` as fleet-manifest-<epoch>.bin under
@@ -108,8 +103,9 @@ Status WriteFleetManifest(const std::string& root,
 
 /// Reads and validates one manifest file. Corruption when torn, bad magic,
 /// bad CRC, or self-inconsistent (invalid layout/algorithm, duplicate
-/// slots); FailedPrecondition when written by a newer format version than
-/// this binary understands.
+/// slots); FailedPrecondition for any format version but the one this
+/// binary writes (older or newer: either way an older epoch would not
+/// read any better).
 StatusOr<FleetManifest> ReadFleetManifestFile(const std::string& path);
 
 /// Reads the newest usable manifest under `root`: scans for
@@ -117,8 +113,8 @@ StatusOr<FleetManifest> ReadFleetManifestFile(const std::string& path);
 /// torn/corrupt file to the previous epoch (the migration crash window).
 /// NotFound when the directory holds no manifest at all; the newest file's
 /// own error when every candidate is unreadable; FailedPrecondition stops
-/// the scan (a future-version fleet must not be half-recovered from an
-/// older epoch).
+/// the scan (a fleet in another format version must not be half-recovered
+/// from an older epoch).
 StatusOr<FleetManifest> ReadNewestFleetManifest(const std::string& root);
 
 /// Epochs of every fleet-manifest file under `root`, descending (for

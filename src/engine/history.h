@@ -42,7 +42,7 @@ namespace tickpoint {
 
 struct CompactionStats;
 
-/// How much history a shard retains. Persisted in the v4 fleet manifest so
+/// How much history a shard retains. Persisted in the fleet manifest so
 /// the writer and every post-crash reader agree on the window.
 struct RetentionPolicy {
   /// Off (the default): checkpoints retire as before, no history dir.

@@ -22,33 +22,45 @@ uint32_t Rebalancer::HotStreak(uint32_t p) const {
 
 bool Rebalancer::SampleRates(const ShardedEngine& engine) {
   const uint32_t k = engine.num_shards();
-  if (prev_marks_.size() != k) {
-    prev_marks_.assign(k, 0);
+  if (prev_.size() != k) {
+    prev_.assign(k, ShardRunner::Progress{});
     rate_.assign(k, 0.0);
     hot_streak_.assign(k, 0);
     migrated_.assign(k, 0);
+    sampled_at_.assign(k, 0);
   }
-  std::vector<uint64_t> marks(k, 0);
-  std::vector<uint64_t> deltas(k, 0);
+  std::vector<ShardRunner::Progress> now(k);
+  std::vector<ShardRunner::Progress> delta(k);
   uint64_t total = 0;
   for (uint32_t p = 0; p < k; ++p) {
-    marks[p] = engine.PartitionDirtyMarks(p);
-    // The cumulative counter lives in the partition's ENGINE, so an engine
-    // swap (migration, failover) restarts it at 0; a reading below the
-    // previous one means exactly that, and the post-swap total IS the
-    // window's delta.
-    deltas[p] = marks[p] >= prev_marks_[p] ? marks[p] - prev_marks_[p]
-                                           : marks[p];
-    total += deltas[p];
+    now[p] = engine.PartitionProgress(p);
+    // The counters live in the partition's RUNNER, so a runner swap
+    // (migration, failover) restarts them at 0; a tick count below the
+    // previous one means exactly that, and the post-swap counts ARE the
+    // window's deltas.
+    const bool swapped = now[p].ticks < prev_[p].ticks;
+    delta[p].ticks = swapped ? now[p].ticks : now[p].ticks - prev_[p].ticks;
+    delta[p].dirty_marks = swapped
+                               ? now[p].dirty_marks
+                               : now[p].dirty_marks - prev_[p].dirty_marks;
+    total += delta[p].dirty_marks;
   }
   // All-zero window: either the fleet is idle or (threaded mode) the
   // runner threads have not applied any batch since the last boundary.
   // Folding zeros in would decay a real hot signal and reset its streak,
   // so the boundary carries no detector signal at all.
   if (total == 0) return false;
+  ++boundaries_seen_;
   for (uint32_t p = 0; p < k; ++p) {
-    prev_marks_[p] = marks[p];
-    const double observed = static_cast<double>(deltas[p]);
+    // The rate is marks per tick the partition APPLIED, not per facade
+    // boundary: threaded runners apply ticks unevenly, and a runner that
+    // caught up two ticks in one window is not twice as hot. A partition
+    // that applied nothing keeps its rate, its streak and its baseline.
+    if (delta[p].ticks == 0) continue;
+    sampled_at_[p] = boundaries_seen_;
+    prev_[p] = now[p];
+    const double observed = static_cast<double>(delta[p].dirty_marks) /
+                            static_cast<double>(delta[p].ticks);
     rate_[p] = rate_[p] == 0.0
                    ? observed
                    : policy_.ewma_alpha * observed +
@@ -61,9 +73,15 @@ int Rebalancer::PickHotPartition(const ShardedEngine& engine) {
   const uint32_t k = engine.num_shards();
   if (k < 2) return -1;
   double total = 0.0;
-  for (uint32_t p = 0; p < k; ++p) total += rate_[p];
+  for (uint32_t p = 0; p < k; ++p) {
+    // A partition whose runner has not applied a tick yet has no rate,
+    // so the mean the others are compared against is unknown.
+    if (sampled_at_[p] == 0) return -1;
+    total += rate_[p];
+  }
   int best = -1;
   for (uint32_t p = 0; p < k; ++p) {
+    if (sampled_at_[p] != boundaries_seen_) continue;
     const double mean_others =
         (total - rate_[p]) / static_cast<double>(k - 1);
     const bool hot = !migrated_[p] &&
@@ -89,7 +107,6 @@ Status Rebalancer::OnTickBoundary(ShardedEngine* engine) {
   // below: the cut tick passing is a property of the fleet clock, not of
   // observed write traffic.
   const bool informative = SampleRates(*engine);
-  if (informative) ++boundaries_seen_;
 
   if (phase_ == Phase::kCutRequested) {
     if (!engine->cut_in_flight()) {
@@ -106,10 +123,11 @@ Status Rebalancer::OnTickBoundary(ShardedEngine* engine) {
           pending_partition_, pending_to_slot_, policy_.spawn_mount_root));
       migrated_[pending_partition_] = 1;
       hot_streak_[pending_partition_] = 0;
-      // The fresh engine's counter restarts at 0 and its first window is
+      // The fresh runner's counters restart at 0 and its first window is
       // not comparable; restart the partition's rate from scratch too.
-      prev_marks_[pending_partition_] = 0;
+      prev_[pending_partition_] = ShardRunner::Progress{};
       rate_[pending_partition_] = 0.0;
+      sampled_at_[pending_partition_] = 0;
       ++migrations_;
       last_migration_tick_ = engine->current_tick();
       last_event_.partition = pending_partition_;

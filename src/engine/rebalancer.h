@@ -21,7 +21,7 @@
 //
 // Crash safety comes for free: every action the rebalancer drives --
 // RequestConsistentCut, CommitConsistentCut, MigratePartition with its
-// v3 manifest commit -- is already atomic-per-step, so a crash at ANY
+// epoch manifest commit -- is already atomic-per-step, so a crash at ANY
 // boundary lands in a well-defined epoch (the rebalancer crash sweep in
 // tests/rebalancer_test.cc walks every step). The rebalancer itself
 // holds only volatile bookkeeping and simply re-learns after a restart.
@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/shard_runner.h"
 #include "util/status.h"
 
 namespace tickpoint {
@@ -60,7 +61,7 @@ struct RebalancePolicy {
   double ewma_alpha = 0.4;
   /// Mount-point root for spawned slots: non-empty lands every automated
   /// migration's destination directory under this path (a different
-  /// disk), recorded durably in the v3 manifest.
+  /// disk), recorded durably in the fleet manifest.
   std::string spawn_mount_root;
 
   bool Valid() const {
@@ -95,7 +96,11 @@ struct RebalanceEvent {
 ///                  observed", not "the fleet went idle". Uninformative
 ///                  boundaries leave the rates, streaks, and warmup count
 ///                  untouched (they would otherwise decay a hot signal
-///                  into oblivion while the runners catch up).
+///                  into oblivion while the runners catch up). For the
+///                  same reason a rate is marks per tick the partition
+///                  actually APPLIED (ShardRunner::progress), and a
+///                  partition that applied no tick in the window keeps
+///                  its rate and streak.
 ///   kCutRequested  keep ticking until the fleet tick passes the cut
 ///                  tick, then CommitConsistentCut + MigratePartition
 ///                  (to a freshly spawned slot, under the policy's mount
@@ -130,21 +135,27 @@ class Rebalancer {
  private:
   enum class Phase { kIdle, kCutRequested };
 
-  /// Samples every partition's cumulative mark counter and folds the
-  /// per-boundary deltas into the smoothed rates. False when the boundary
-  /// was uninformative (every delta zero): no state was touched.
+  /// Samples every partition's applied-tick and cumulative mark counters
+  /// and folds each window's marks per applied tick into the smoothed
+  /// rates. False when the boundary was uninformative (no new marks
+  /// anywhere): no state was touched.
   bool SampleRates(const ShardedEngine& engine);
-  /// The hysteresis-qualified hot partition, or -1.
+  /// The hysteresis-qualified hot partition, or -1. Only partitions the
+  /// last sample saw apply a tick update their streaks, and nothing is
+  /// hot while some partition has no rate yet.
   int PickHotPartition(const ShardedEngine& engine);
 
   RebalancePolicy policy_;
   Phase phase_ = Phase::kIdle;
-  /// Previous boundary's cumulative counter per partition.
-  std::vector<uint64_t> prev_marks_;
-  /// Smoothed marks-per-tick per partition.
+  /// Counters at each partition's last sampled window end.
+  std::vector<ShardRunner::Progress> prev_;
+  /// Smoothed marks-per-applied-tick per partition.
   std::vector<double> rate_;
-  /// Consecutive boundaries each partition has been hot.
+  /// Consecutive sampled boundaries each partition has been hot.
   std::vector<uint32_t> hot_streak_;
+  /// The informative boundary (1-based count) at which partition p last
+  /// applied a tick; 0 = no rate yet (never, or since its migration).
+  std::vector<uint64_t> sampled_at_;
   /// Partitions this rebalancer already moved (never re-migrated).
   std::vector<uint8_t> migrated_;
   uint64_t boundaries_seen_ = 0;

@@ -21,10 +21,6 @@ double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-}  // namespace
-
-namespace {
-
 /// Shared two-phase recovery body: restores the newest image whose
 /// consistent tick does not exceed `up_to_tick` + 1, then replays the
 /// logical log from the image boundary through `up_to_tick`.
@@ -102,48 +98,6 @@ StatusOr<RecoveryResult> Recover(const EngineConfig& config,
   return RecoverImpl(config, UINT64_MAX, out);
 }
 
-namespace {
-
-/// Folds one shard's outcome into the fleet aggregate.
-void AccumulateShard(const RecoveryResult& shard_result, uint32_t shard,
-                     ShardedRecoveryResult* result) {
-  result->restore_seconds += shard_result.restore_seconds;
-  result->replay_seconds += shard_result.replay_seconds;
-  const uint64_t recovered = shard_result.recovered_ticks;
-  if (shard == 0) {
-    result->min_recovered_ticks = recovered;
-    result->max_recovered_ticks = recovered;
-  } else {
-    result->min_recovered_ticks =
-        std::min(result->min_recovered_ticks, recovered);
-    result->max_recovered_ticks =
-        std::max(result->max_recovered_ticks, recovered);
-  }
-  result->shards.push_back(shard_result);
-}
-
-/// Shared per-partition crash-recovery loop: partition p restores from
-/// `dirs[p]` (the manifest's assignment- and mount-resolved directory).
-StatusOr<ShardedRecoveryResult> RecoverPartitionsImpl(
-    const ShardedEngineConfig& config, const std::vector<std::string>& dirs,
-    std::vector<StateTable>* out) {
-  ShardedRecoveryResult result;
-  result.shards.reserve(config.num_shards);
-  out->clear();
-  out->reserve(config.num_shards);
-  for (uint32_t i = 0; i < config.num_shards; ++i) {
-    EngineConfig shard_config = config.shard;
-    shard_config.dir = dirs[i];
-    out->emplace_back(shard_config.layout);
-    TP_ASSIGN_OR_RETURN(const RecoveryResult shard_result,
-                        Recover(shard_config, &out->back()));
-    AccumulateShard(shard_result, i, &result);
-  }
-  return result;
-}
-
-}  // namespace
-
 StatusOr<RecoveryResult> RecoverToTick(const EngineConfig& config,
                                        uint64_t cut_tick, StateTable* out) {
   TP_ASSIGN_OR_RETURN(const RecoveryResult result,
@@ -169,132 +123,6 @@ StatusOr<RecoveryResult> RecoverToTick(const EngineConfig& config,
         std::to_string(cut_tick + 1));
   }
   return result;
-}
-
-namespace {
-
-/// Shared cut-recovery body, parameterized by per-partition directories.
-StatusOr<ShardedCutRecoveryResult> RecoverPartitionsToCutImpl(
-    const ShardedEngineConfig& config, const std::vector<std::string>& dirs,
-    std::vector<StateTable>* out) {
-  ShardedCutRecoveryResult result;
-  auto manifest_or = ReadCutManifest(config.shard.dir);
-  if (!manifest_or.ok()) {
-    const StatusCode code = manifest_or.status().code();
-    // NotFound: the coordinator never committed (including a crash between
-    // the last shard ack and the commit rename). Corruption: the manifest
-    // is torn. Both mean "no committed cut" -- fall back to per-shard
-    // exact recovery. Anything else is a real I/O failure.
-    if (code != StatusCode::kNotFound && code != StatusCode::kCorruption) {
-      return manifest_or.status();
-    }
-  }
-  if (!manifest_or.ok()) {
-    TP_ASSIGN_OR_RETURN(result.fleet,
-                        RecoverPartitionsImpl(config, dirs, out));
-    return result;
-  }
-  const CutManifest& manifest = manifest_or.value();
-  if (manifest.shards.size() != config.num_shards) {
-    // A committed manifest that disagrees with the fleet geometry is a
-    // misconfiguration, not a missing cut: surface it instead of silently
-    // recovering a partial fleet.
-    return Status::InvalidArgument(
-        "cut manifest in " + config.shard.dir + " records " +
-        std::to_string(manifest.shards.size()) + " shards, config expects " +
-        std::to_string(config.num_shards));
-  }
-  result.used_manifest = true;
-  result.cut_tick = manifest.cut_tick;
-  result.fleet.shards.reserve(config.num_shards);
-  out->clear();
-  out->reserve(config.num_shards);
-  for (uint32_t i = 0; i < config.num_shards; ++i) {
-    EngineConfig shard_config = config.shard;
-    shard_config.dir = dirs[i];
-    out->emplace_back(shard_config.layout);
-    auto shard_or = RecoverToTick(shard_config, manifest.cut_tick,
-                                  &out->back());
-    if (!shard_or.ok()) {
-      if (shard_or.status().code() == StatusCode::kCorruption) {
-        // The manifest is committed but its cut is no longer reproducible
-        // from this shard's durable sources -- e.g. a death during a
-        // fleet resume after this shard's bootstrap truncated the
-        // logical log the (older) cut depended on. Same
-        // treatment as a torn manifest: per-shard exact fallback
-        // (clears and refills `out`).
-        ShardedCutRecoveryResult fallback;
-        auto fallback_or = RecoverPartitionsImpl(config, dirs, out);
-        if (!fallback_or.ok()) return fallback_or.status();
-        fallback.fleet = std::move(fallback_or).value();
-        return fallback;
-      }
-      return shard_or.status();
-    }
-    AccumulateShard(shard_or.value(), i, &result.fleet);
-  }
-  return result;
-}
-
-/// Shared manifest-reading front half of RecoverFleet/RecoverFleetToCut:
-/// reads the newest intact manifest and verifies the directory layout it
-/// describes actually exists.
-StatusOr<FleetManifest> ReadManifestForRecovery(const std::string& root) {
-  TP_ASSIGN_OR_RETURN(FleetManifest manifest, ReadNewestFleetManifest(root));
-  for (uint32_t p = 0; p < manifest.num_partitions; ++p) {
-    const std::string dir = manifest.PartitionDir(root, p);
-    std::error_code ec;
-    if (!std::filesystem::is_directory(dir, ec)) {
-      // The superblock and the directory tree disagree: surface it as
-      // corruption instead of "recovering" partition p to zeroed state
-      // from a directory that is not there.
-      return Status::Corruption(
-          "fleet manifest (epoch " + std::to_string(manifest.epoch) +
-          ") assigns partition " + std::to_string(p) + " to " + dir +
-          ", which does not exist");
-    }
-  }
-  return manifest;
-}
-
-/// Assignment- and mount-resolved directory of every partition.
-std::vector<std::string> PartitionDirs(const FleetManifest& manifest,
-                                       const std::string& root) {
-  std::vector<std::string> dirs;
-  dirs.reserve(manifest.num_partitions);
-  for (uint32_t p = 0; p < manifest.num_partitions; ++p) {
-    dirs.push_back(manifest.PartitionDir(root, p));
-  }
-  return dirs;
-}
-
-}  // namespace
-
-StatusOr<FleetRecoveryOutcome> RecoverFleet(const std::string& root,
-                                            std::vector<StateTable>* out) {
-  FleetRecoveryOutcome outcome;
-  TP_ASSIGN_OR_RETURN(outcome.manifest, ReadManifestForRecovery(root));
-  const ShardedEngineConfig config = ConfigFromManifest(outcome.manifest,
-                                                        root);
-  auto fleet_or =
-      RecoverPartitionsImpl(config, PartitionDirs(outcome.manifest, root),
-                            out);
-  if (!fleet_or.ok()) return fleet_or.status();
-  outcome.result.fleet = std::move(fleet_or).value();
-  return outcome;
-}
-
-StatusOr<FleetRecoveryOutcome> RecoverFleetToCut(
-    const std::string& root, std::vector<StateTable>* out) {
-  FleetRecoveryOutcome outcome;
-  TP_ASSIGN_OR_RETURN(outcome.manifest, ReadManifestForRecovery(root));
-  const ShardedEngineConfig config = ConfigFromManifest(outcome.manifest,
-                                                        root);
-  auto cut_or = RecoverPartitionsToCutImpl(
-      config, PartitionDirs(outcome.manifest, root), out);
-  if (!cut_or.ok()) return cut_or.status();
-  outcome.result = std::move(cut_or).value();
-  return outcome;
 }
 
 StatusOr<RecoveryResult> RecoverToHistoricTick(const EngineConfig& config,
@@ -372,48 +200,164 @@ StatusOr<RecoveryResult> RecoverToHistoricTick(const EngineConfig& config,
   return result;
 }
 
+namespace {
+
+/// Folds one shard's outcome into the fleet aggregate.
+void AccumulateShard(const RecoveryResult& shard_result, uint32_t shard,
+                     ShardedRecoveryResult* result) {
+  result->restore_seconds += shard_result.restore_seconds;
+  result->replay_seconds += shard_result.replay_seconds;
+  const uint64_t recovered = shard_result.recovered_ticks;
+  if (shard == 0) {
+    result->min_recovered_ticks = recovered;
+    result->max_recovered_ticks = recovered;
+  } else {
+    result->min_recovered_ticks =
+        std::min(result->min_recovered_ticks, recovered);
+    result->max_recovered_ticks =
+        std::max(result->max_recovered_ticks, recovered);
+  }
+  result->shards.push_back(shard_result);
+}
+
+/// Shared front half of every fleet recovery: reads the newest intact
+/// manifest under `root`, verifies the directory layout it describes
+/// actually exists, and returns each partition's engine config (the
+/// manifest's knobs, the assignment- and mount-resolved directory).
+StatusOr<std::vector<EngineConfig>> ReadFleetForRecovery(
+    const std::string& root, FleetManifest* manifest) {
+  TP_ASSIGN_OR_RETURN(*manifest, ReadNewestFleetManifest(root));
+  const EngineConfig shard = ConfigFromManifest(*manifest, root).shard;
+  std::vector<EngineConfig> shards(manifest->num_partitions, shard);
+  for (uint32_t p = 0; p < manifest->num_partitions; ++p) {
+    shards[p].dir = manifest->PartitionDir(root, p);
+    std::error_code ec;
+    if (!std::filesystem::is_directory(shards[p].dir, ec)) {
+      // The superblock and the directory tree disagree: surface it as
+      // corruption instead of "recovering" partition p to zeroed state
+      // from a directory that is not there.
+      return Status::Corruption(
+          "fleet manifest (epoch " + std::to_string(manifest->epoch) +
+          ") assigns partition " + std::to_string(p) + " to " +
+          shards[p].dir + ", which does not exist");
+    }
+  }
+  return shards;
+}
+
+/// Latest recovery: every partition to its own crash tick.
+StatusOr<ShardedRecoveryResult> RecoverPartitionsToLatest(
+    const std::vector<EngineConfig>& shards, std::vector<StateTable>* out) {
+  ShardedRecoveryResult result;
+  result.shards.reserve(shards.size());
+  out->clear();
+  out->reserve(shards.size());
+  for (uint32_t i = 0; i < shards.size(); ++i) {
+    out->emplace_back(shards[i].layout);
+    TP_ASSIGN_OR_RETURN(const RecoveryResult shard_result,
+                        Recover(shards[i], &out->back()));
+    AccumulateShard(shard_result, i, &result);
+  }
+  return result;
+}
+
+/// The one all-or-nothing loop behind cut and point-in-time recovery:
+/// every partition lands at exactly the end of `tick` through
+/// RecoverToHistoricTick (live stores first, retained history second).
+/// When some shard cannot reproduce the tick (Corruption), the whole
+/// fleet falls back to latest recovery -- used_manifest false, `out`
+/// cleared and refilled -- rather than mixing timelines across shards.
+/// Other errors propagate.
+StatusOr<ShardedCutRecoveryResult> RecoverPartitionsToTick(
+    const std::vector<EngineConfig>& shards, uint64_t tick,
+    std::vector<StateTable>* out) {
+  ShardedCutRecoveryResult result;
+  result.used_manifest = true;
+  result.cut_tick = tick;
+  result.fleet.shards.reserve(shards.size());
+  out->clear();
+  out->reserve(shards.size());
+  for (uint32_t i = 0; i < shards.size(); ++i) {
+    out->emplace_back(shards[i].layout);
+    auto shard_or = RecoverToHistoricTick(shards[i], tick, &out->back());
+    if (!shard_or.ok()) {
+      if (shard_or.status().code() != StatusCode::kCorruption) {
+        return shard_or.status();
+      }
+      result = ShardedCutRecoveryResult{};
+      TP_ASSIGN_OR_RETURN(result.fleet,
+                          RecoverPartitionsToLatest(shards, out));
+      return result;
+    }
+    AccumulateShard(shard_or.value(), i, &result.fleet);
+  }
+  return result;
+}
+
+}  // namespace
+
+StatusOr<FleetRecoveryOutcome> RecoverFleet(const std::string& root,
+                                            std::vector<StateTable>* out) {
+  FleetRecoveryOutcome outcome;
+  TP_ASSIGN_OR_RETURN(const std::vector<EngineConfig> shards,
+                      ReadFleetForRecovery(root, &outcome.manifest));
+  TP_ASSIGN_OR_RETURN(outcome.result.fleet,
+                      RecoverPartitionsToLatest(shards, out));
+  return outcome;
+}
+
+StatusOr<FleetRecoveryOutcome> RecoverFleetToCut(
+    const std::string& root, std::vector<StateTable>* out) {
+  FleetRecoveryOutcome outcome;
+  TP_ASSIGN_OR_RETURN(const std::vector<EngineConfig> shards,
+                      ReadFleetForRecovery(root, &outcome.manifest));
+  auto cut_or = ReadCutManifest(root);
+  if (!cut_or.ok()) {
+    const StatusCode code = cut_or.status().code();
+    // NotFound: the coordinator never committed (including a crash between
+    // the last shard ack and the commit rename). Corruption: the manifest
+    // is torn. Both mean "no committed cut" -- fall back to latest
+    // recovery. Anything else is a real I/O failure.
+    if (code != StatusCode::kNotFound && code != StatusCode::kCorruption) {
+      return cut_or.status();
+    }
+    TP_ASSIGN_OR_RETURN(outcome.result.fleet,
+                        RecoverPartitionsToLatest(shards, out));
+    return outcome;
+  }
+  if (cut_or.value().shards.size() != shards.size()) {
+    // A committed cut that disagrees with the fleet geometry is a
+    // misconfiguration, not a missing cut: surface it instead of silently
+    // recovering a partial fleet.
+    return Status::InvalidArgument(
+        "cut manifest in " + root + " records " +
+        std::to_string(cut_or.value().shards.size()) +
+        " shards, the fleet manifest " + std::to_string(shards.size()) +
+        " partitions");
+  }
+  TP_ASSIGN_OR_RETURN(
+      outcome.result,
+      RecoverPartitionsToTick(shards, cut_or.value().cut_tick, out));
+  return outcome;
+}
+
 StatusOr<FleetRecoveryOutcome> RecoverFleetToTick(
     const std::string& root, uint64_t tick, std::vector<StateTable>* out) {
   FleetRecoveryOutcome outcome;
-  TP_ASSIGN_OR_RETURN(outcome.manifest, ReadManifestForRecovery(root));
-  const ShardedEngineConfig config = ConfigFromManifest(outcome.manifest,
-                                                        root);
-  const std::vector<std::string> dirs = PartitionDirs(outcome.manifest, root);
-  outcome.result.used_manifest = true;
-  outcome.result.cut_tick = tick;
-  outcome.result.fleet.shards.reserve(config.num_shards);
-  out->clear();
-  out->reserve(config.num_shards);
-  for (uint32_t i = 0; i < config.num_shards; ++i) {
-    EngineConfig shard_config = config.shard;
-    shard_config.dir = dirs[i];
-    out->emplace_back(shard_config.layout);
-    auto shard_or = RecoverToHistoricTick(shard_config, tick, &out->back());
-    if (!shard_or.ok()) {
-      if (shard_or.status().code() == StatusCode::kCorruption) {
-        // Some shard cannot reproduce the tick (outside its retained
-        // window, or its history is torn). All-or-nothing: fall back to
-        // per-shard latest recovery (clears and refills `out`) rather
-        // than mixing timelines across shards.
-        outcome.result = ShardedCutRecoveryResult{};
-        auto fallback_or = RecoverPartitionsImpl(config, dirs, out);
-        if (!fallback_or.ok()) return fallback_or.status();
-        outcome.result.fleet = std::move(fallback_or).value();
-        return outcome;
-      }
-      return shard_or.status();
-    }
-    AccumulateShard(shard_or.value(), i, &outcome.result.fleet);
-  }
+  TP_ASSIGN_OR_RETURN(const std::vector<EngineConfig> shards,
+                      ReadFleetForRecovery(root, &outcome.manifest));
+  TP_ASSIGN_OR_RETURN(outcome.result,
+                      RecoverPartitionsToTick(shards, tick, out));
   return outcome;
 }
 
 StatusOr<HistoryWindow> RestorableFleetWindow(const std::string& root) {
-  TP_ASSIGN_OR_RETURN(const FleetManifest manifest,
-                      ReadManifestForRecovery(root));
+  FleetManifest manifest;
+  TP_ASSIGN_OR_RETURN(const std::vector<EngineConfig> shards,
+                      ReadFleetForRecovery(root, &manifest));
   HistoryWindow window;
-  for (uint32_t p = 0; p < manifest.num_partitions; ++p) {
-    const std::string dir = manifest.PartitionDir(root, p);
+  for (const EngineConfig& shard_config : shards) {
+    const std::string& dir = shard_config.dir;
     auto index_or = ShardHistory::ReadIndex(dir);
     if (!index_or.ok()) {
       const StatusCode code = index_or.status().code();

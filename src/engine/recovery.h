@@ -78,13 +78,14 @@ StatusOr<RecoveryResult> RecoverToTick(const EngineConfig& config,
 
 /// Outcome of a whole-fleet recovery to a consistent cut.
 struct ShardedCutRecoveryResult {
-  /// True: a committed cut manifest was found and every shard below is at
-  /// exactly `cut_tick`. False: no usable cut -- no committed manifest
-  /// (never cut, crash before the commit, a torn manifest file), or the
-  /// manifest's cut is no longer reproducible from some shard's durable
-  /// sources (a death mid-fleet-resume can truncate a log an older cut
-  /// depended on) -- and `fleet` holds the per-shard exact
-  /// fallback, each shard at its own crash tick.
+  /// True: every shard below is at exactly `cut_tick` (the committed cut,
+  /// or the tick point-in-time recovery asked for). False: no usable
+  /// target -- no committed cut manifest (never cut, crash before the
+  /// commit, a torn manifest file), or some shard can reproduce the
+  /// target from neither its live stores nor its retained history (a
+  /// death mid-fleet-resume can truncate a log an older cut depended on)
+  /// -- and `fleet` holds the latest-recovery fallback, each shard at its
+  /// own crash tick.
   bool used_manifest = false;
   uint64_t cut_tick = 0;
   ShardedRecoveryResult fleet;
@@ -112,8 +113,12 @@ StatusOr<FleetRecoveryOutcome> RecoverFleet(const std::string& root,
                                             std::vector<StateTable>* out);
 
 /// Like RecoverFleet, but lands the fleet on the committed consistent cut
-/// when one is reproducible (per-shard exact fallback otherwise), with the
-/// partition assignment read from the fleet manifest.
+/// when one is reproducible: the same all-or-nothing per-partition loop as
+/// RecoverFleetToTick, at the cut tick, so a retention-on fleet reaches a
+/// cut its live stores have moved past through retained history. Latest
+/// recovery when there is no committed cut or some shard cannot reproduce
+/// it; InvalidArgument when the cut manifest's shard count disagrees with
+/// the fleet manifest.
 StatusOr<FleetRecoveryOutcome> RecoverFleetToCut(const std::string& root,
                                                  std::vector<StateTable>* out);
 

@@ -65,6 +65,7 @@ void ShardRunner::SubmitTick(ShardTickBatch batch) {
   if (!threaded_) {
     ++ticks_submitted_;
     ProcessBatch(batch);
+    PublishMarks();
     ticks_completed_.fetch_add(1, std::memory_order_release);
     return;
   }
@@ -121,6 +122,24 @@ void ShardRunner::Stop() {
   thread_.join();
 }
 
+void ShardRunner::PublishMarks() {
+  const uint64_t next = ticks_completed_.load(std::memory_order_relaxed) + 1;
+  marks_at_[next % 2].store(engine_->CumulativeDirtyMarks(),
+                            std::memory_order_release);
+}
+
+ShardRunner::Progress ShardRunner::progress() const {
+  for (;;) {
+    const uint64_t ticks = ticks_completed_.load(std::memory_order_acquire);
+    // Acquire: if this load sees a rewrite for count ticks + 2, the
+    // increment to ticks + 1 that preceded it is visible to the re-read.
+    const uint64_t marks = marks_at_[ticks % 2].load(std::memory_order_acquire);
+    if (ticks_completed_.load(std::memory_order_acquire) == ticks) {
+      return Progress{ticks, marks};
+    }
+  }
+}
+
 Status ShardRunner::status() const {
   if (!has_error_.load(std::memory_order_acquire)) return Status::OK();
   return first_error_;
@@ -157,6 +176,7 @@ void ShardRunner::ThreadMain() {
     slots_signal_.fetch_add(1, std::memory_order_release);
     slots_signal_.notify_one();
     ProcessBatch(batch);
+    PublishMarks();
     const uint64_t completed =
         ticks_completed_.fetch_add(1, std::memory_order_seq_cst) + 1;
     // Dekker partner of Drain: the completion bump (seq_cst RMW) precedes

@@ -145,6 +145,16 @@ class ShardRunner {
   uint64_t ticks_completed() const {
     return ticks_completed_.load(std::memory_order_acquire);
   }
+  /// Ticks fully applied, with the engine's cumulative dirty-mark count
+  /// (Engine::CumulativeDirtyMarks) as of the end of the last of them.
+  struct Progress {
+    uint64_t ticks = 0;
+    uint64_t dirty_marks = 0;
+  };
+  /// One consistent Progress pair, callable from any thread while the
+  /// runner keeps ticking: never the marks of a half-applied tick, never
+  /// a count from one tick paired with the marks of another.
+  Progress progress() const;
   /// Ticks handed to SubmitTick so far. Producer-thread state: callable
   /// only from the submitting thread, like SubmitTick itself. Paired with
   /// ticks_completed() it is the coordinator's idleness test (completed >=
@@ -215,6 +225,9 @@ class ShardRunner {
   /// records the sticky error, publishes the cut ack, and reports
   /// finished checkpoints.
   void ProcessBatch(const ShardTickBatch& batch);
+  /// Mutator thread, after ProcessBatch: publishes the engine's mark count
+  /// for the tick about to be counted complete (see marks_at_).
+  void PublishMarks();
 
   const uint32_t shard_id_;
   const bool threaded_;
@@ -254,6 +267,11 @@ class ShardRunner {
   std::atomic<uint64_t> drain_target_{0};
 
   std::atomic<uint64_t> ticks_completed_{0};
+  /// marks_at_[n % 2] = the engine's mark count once n ticks completed,
+  /// stored (release) before ticks_completed_ reaches n. The slot is next
+  /// rewritten only after the count passes n + 1, so progress() keeps a
+  /// (count, slot) pair only when the count did not move while it read.
+  std::atomic<uint64_t> marks_at_[2] = {0, 0};
   std::atomic<bool> has_error_{false};
   Status first_error_;  // written once before the has_error_ release
 

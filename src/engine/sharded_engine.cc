@@ -14,10 +14,6 @@
 
 namespace tickpoint {
 
-std::string ShardedEngine::ShardDir(const std::string& root, uint32_t shard) {
-  return paths::ShardDir(root, shard);
-}
-
 FleetManifest ManifestFromConfig(const ShardedEngineConfig& config) {
   FleetManifest manifest;
   manifest.epoch = 0;
@@ -112,7 +108,7 @@ ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
       cut_(config.shard.dir, config.num_shards, config.shard.fsync) {}
 
 StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
-    const ShardedEngineConfig& config,
+    const ShardedEngineConfig& config, FleetManifest manifest,
     const std::vector<StateTable>* initial, uint64_t first_tick,
     bool bump_epoch) {
   if (config.num_shards == 0) {
@@ -181,8 +177,7 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
   }
   TP_RETURN_NOT_OK(EnsureDirectory(config.shard.dir));
   std::unique_ptr<ShardedEngine> sharded(new ShardedEngine(config));
-  sharded->manifest_ = ManifestFromConfig(config);
-  bool write_manifest_after_open = false;
+  sharded->manifest_ = std::move(manifest);
   if (initial == nullptr) {
     // A fresh fleet truncates every shard's logical log and wipes the
     // stale checkpoints, so a cut manifest left by a previous incarnation
@@ -197,52 +192,16 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
         RetireFleetManifestsBefore(config.shard.dir, UINT64_MAX));
     TP_RETURN_NOT_OK(
         RemoveUnassignedShardDirs(config.shard.dir, config.num_shards));
-    write_manifest_after_open = true;
-  } else {
-    // Resume: the durable manifest -- not the caller -- knows which shard
-    // slot hosts each partition (the fleet may have migrated partitions
-    // since it was created). A fleet from before the manifest era resumes
-    // as identity and gains a manifest below.
-    auto manifest_or = ReadNewestFleetManifest(config.shard.dir);
-    if (manifest_or.ok()) {
-      if (manifest_or.value().num_partitions != config.num_shards) {
-        return Status::InvalidArgument(
-            "fleet manifest under " + config.shard.dir + " records " +
-            std::to_string(manifest_or.value().num_partitions) +
-            " partitions, config expects " +
-            std::to_string(config.num_shards));
-      }
-      // Adopt the WHOLE on-disk manifest, not just epoch + assignment:
-      // the runtime still honors the caller's config (legacy contract),
-      // but any future manifest write (a migration's epoch bump) must
-      // re-commit the fleet's durable description, not whatever knobs
-      // this caller happened to pass -- Fleet::Open reads the disk.
-      sharded->manifest_ = std::move(manifest_or).value();
-      if (config.replicate && sharded->manifest_.replica_peer.empty()) {
-        // A v1 (pre-replication) manifest resumed with replication turned
-        // on: adopt the config's (resolved) replication topology; the
-        // next manifest write persists it.
-        FleetManifest from_config = ManifestFromConfig(config);
-        sharded->manifest_.replicate = true;
-        sharded->manifest_.replica_depth = from_config.replica_depth;
-        sharded->manifest_.replica_peer = std::move(from_config.replica_peer);
-      }
-    } else if (manifest_or.status().code() == StatusCode::kNotFound) {
-      write_manifest_after_open = true;
-    } else {
-      return manifest_or.status();
-    }
   }
   sharded->tick_ = first_tick;
   sharded->runners_.reserve(config.num_shards);
   sharded->pending_.resize(config.num_shards);
   for (uint32_t i = 0; i < config.num_shards; ++i) {
-    EngineConfig shard_config = config.shard;
     // The manifest, not slot arithmetic, resolves each partition's
     // directory: a migrated partition may live on a different slot AND a
     // different mount root.
-    shard_config.dir = sharded->manifest_.PartitionDir(config.shard.dir, i);
-    shard_config.manual_checkpoints = true;
+    const EngineConfig shard_config = sharded->ShardConfig(
+        sharded->manifest_.PartitionDir(config.shard.dir, i));
     StatusOr<std::unique_ptr<Engine>> engine_or =
         initial == nullptr
             ? Engine::Open(shard_config)
@@ -274,9 +233,10 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
     // the untouched shards still carry their pre-crash sources, so cut
     // recovery reproduces the fleet-consistent state at the cut exactly.
     // When the manifest's cut is older than first_tick, the resumed
-    // shards can no longer reproduce it and recovery falls back to
-    // per-shard exactness (see RecoverFleetToCut) -- but the restore
-    // point is never destroyed while it was still reachable.
+    // shards' live stores can no longer reproduce it: recovery reaches it
+    // through retained history, or falls back to latest recovery with
+    // retention off (see RecoverFleetToCut) -- but the restore point is
+    // never destroyed while it was still reachable.
     TP_RETURN_NOT_OK(RemoveFileIfExists(CutManifestPath(config.shard.dir)));
   }
   if (bump_epoch) {
@@ -287,7 +247,7 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
     // this rename leaves the restore repeatable under the old epoch.
     sharded->manifest_.epoch += 1;
   }
-  if (write_manifest_after_open || bump_epoch) {
+  if (initial == nullptr || bump_epoch) {
     // For a fresh fleet the manifest commit is the last step of creation:
     // a crash before it leaves shard directories without a superblock,
     // which Fleet::Open reports as NotFound instead of guessing a
@@ -306,6 +266,13 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
   return sharded;
 }
 
+EngineConfig ShardedEngine::ShardConfig(const std::string& dir) const {
+  EngineConfig shard_config = config_.shard;
+  shard_config.dir = dir;
+  shard_config.manual_checkpoints = true;
+  return shard_config;
+}
+
 std::unique_ptr<ShardRunner> ShardedEngine::MakeRunner(
     uint32_t partition, std::unique_ptr<Engine> engine) {
   // Measured checkpoint completions feed the adaptive stagger; in threaded
@@ -321,15 +288,46 @@ std::unique_ptr<ShardRunner> ShardedEngine::MakeRunner(
                                        config_.max_queue_ticks, observer);
 }
 
+void ShardedEngine::InstallShard(uint32_t partition,
+                                 std::unique_ptr<Engine> engine) {
+  runners_[partition] = MakeRunner(partition, std::move(engine));
+  if (!config_.replicate) return;
+  // The partition's own replica on its live peer restarts from the new
+  // engine's state -- Anchor also clears fold/torn debris in the ring, so
+  // the next failover (a disk-path one, or one right after a rebalance)
+  // rebuilds from a clean base.
+  const uint32_t host = manifest_.replica_peer[partition];
+  if (!crashed_[host]) {
+    ReplicaBuffer* buffer = runners_[host]->replica(partition);
+    if (buffer != nullptr) {
+      buffer->Anchor(runners_[partition]->engine().state(), tick_);
+    }
+  }
+  // The swap destroyed the replicas the old runner hosted: fresh buffers
+  // on the new runner, anchored from their (idle) source engines.
+  for (uint32_t r = 0; r < config_.num_shards; ++r) {
+    if (manifest_.replica_peer[r] != partition) continue;
+    auto buffer = std::make_unique<ReplicaBuffer>(r, config_.shard.layout,
+                                                  config_.replica_depth);
+    if (!crashed_[r]) {
+      buffer->Anchor(runners_[r]->engine().state(), tick_);
+    }
+    runners_[partition]->HostReplica(std::move(buffer));
+  }
+}
+
 StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     const ShardedEngineConfig& config) {
-  return OpenImpl(config, /*initial=*/nullptr, /*first_tick=*/0);
+  return OpenImpl(config, ManifestFromConfig(config), /*initial=*/nullptr,
+                  /*first_tick=*/0, /*bump_epoch=*/false);
 }
 
 StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenResumed(
-    const ShardedEngineConfig& config, const std::vector<StateTable>& initial,
-    uint64_t first_tick, bool bump_epoch) {
-  return OpenImpl(config, &initial, first_tick, bump_epoch);
+    const std::string& root, const FleetManifest& manifest,
+    const std::vector<StateTable>& initial, uint64_t first_tick,
+    bool bump_epoch) {
+  return OpenImpl(ConfigFromManifest(manifest, root), manifest, &initial,
+                  first_tick, bump_epoch);
 }
 
 ShardedEngine::~ShardedEngine() {
@@ -363,25 +361,25 @@ Status ShardedEngine::EndTick() {
   const bool cut_tick_now = cut_.IsCutTick(tick_);
   const bool suppress_schedule = cut_.SuppressesScheduledStart(tick_);
   // Every shard gets its batch even if a sibling already failed: no shard
-  // is ever left mid-tick, and the fleet tick advances exactly once.
+  // is ever left mid-tick, and the fleet tick advances exactly once. A cut
+  // committed last turn broadcasts its trim tick in this tick's batches
+  // (the trim-at-cut rule: everything at or below a committed cut is
+  // durable fleet-wide, so the replica rings fold eagerly).
+  std::vector<ShardTickBatch> batches(runners_.size());
+  for (uint32_t i = 0; i < runners_.size(); ++i) {
+    batches[i].tick = tick_;
+    batches[i].cut_checkpoint = cut_tick_now;
+    batches[i].start_checkpoint =
+        cut_tick_now ||
+        (!suppress_schedule && scheduler_.ShouldCheckpoint(i, tick_));
+    batches[i].trim_replicas_through = pending_replica_trim_;
+  }
+  pending_replica_trim_ = ShardTickBatch::kNoReplicaTrim;
   if (config_.replicate) {
-    // Replicating fan-out: each partition's delta is COPIED into its
-    // peer's batch (the host appends it to the replica ring before its
-    // own tick) and then MOVED into the owner's batch as usual, so the
-    // replica stream is exactly the update stream the owner applies. A
-    // cut committed last turn broadcasts its trim tick in this tick's
-    // batches (the trim-at-cut rule: everything at or below a committed
-    // cut is durable fleet-wide, so the rings fold eagerly).
-    std::vector<ShardTickBatch> batches(runners_.size());
-    for (uint32_t i = 0; i < runners_.size(); ++i) {
-      batches[i].tick = tick_;
-      batches[i].cut_checkpoint = cut_tick_now;
-      batches[i].start_checkpoint =
-          cut_tick_now ||
-          (!suppress_schedule && scheduler_.ShouldCheckpoint(i, tick_));
-      batches[i].trim_replicas_through = pending_replica_trim_;
-    }
-    pending_replica_trim_ = ShardTickBatch::kNoReplicaTrim;
+    // Each partition's delta is COPIED into its peer's batch (the host
+    // appends it to the replica ring before its own tick) and then MOVED
+    // into the owner's batch below, so the replica stream is exactly the
+    // update stream the owner applies.
     for (uint32_t p = 0; p < runners_.size(); ++p) {
       ShardTickBatch::ReplicaDelta delta;
       delta.partition = p;
@@ -389,23 +387,11 @@ Status ShardedEngine::EndTick() {
       batches[manifest_.replica_peer[p]].replica_updates.push_back(
           std::move(delta));
     }
-    for (uint32_t i = 0; i < runners_.size(); ++i) {
-      batches[i].updates = std::move(pending_[i]);
-      pending_[i].clear();
-      runners_[i]->SubmitTick(std::move(batches[i]));
-    }
-  } else {
-    for (uint32_t i = 0; i < runners_.size(); ++i) {
-      ShardTickBatch batch;
-      batch.tick = tick_;
-      batch.cut_checkpoint = cut_tick_now;
-      batch.start_checkpoint =
-          cut_tick_now ||
-          (!suppress_schedule && scheduler_.ShouldCheckpoint(i, tick_));
-      batch.updates = std::move(pending_[i]);
-      pending_[i].clear();
-      runners_[i]->SubmitTick(std::move(batch));
-    }
+  }
+  for (uint32_t i = 0; i < runners_.size(); ++i) {
+    batches[i].updates = std::move(pending_[i]);
+    pending_[i].clear();
+    runners_[i]->SubmitTick(std::move(batches[i]));
   }
   if (cut_tick_now) scheduler_.RealignAfterCut(tick_);
   ++tick_;
@@ -593,22 +579,18 @@ Status ShardedEngine::MigratePartition(uint32_t partition, uint32_t to_slot,
     // writable) before the destination engine bootstraps under it.
     TP_RETURN_NOT_OK(EnsureDirectory(mount_root));
   }
-  EngineConfig dest_config = config_.shard;
-  dest_config.dir = paths::SlotDir(config_.shard.dir, mount_root, to_slot);
-  dest_config.manual_checkpoints = true;
-  TP_ASSIGN_OR_RETURN(auto dest_engine,
-                      Engine::OpenResumed(dest_config, moved, tick_));
+  TP_ASSIGN_OR_RETURN(
+      auto dest_engine,
+      Engine::OpenResumed(
+          ShardConfig(paths::SlotDir(config_.shard.dir, mount_root, to_slot)),
+          moved, tick_));
   // Commit the new topology: fleet-manifest-<E+1> via tmp + rename + dir
   // fsync. This rename is the migration's commit point.
   FleetManifest next = manifest_;
   next.epoch = manifest_.epoch + 1;
   next.assignment[partition] = to_slot;
-  if (!mount_root.empty() || !next.mount_root.empty()) {
-    if (next.mount_root.empty()) {
-      next.mount_root.resize(next.num_partitions);
-    }
-    next.mount_root[partition] = mount_root;
-  }
+  next.mount_root.resize(next.num_partitions);
+  next.mount_root[partition] = mount_root;
   TP_RETURN_NOT_OK(
       WriteFleetManifest(config_.shard.dir, next, config_.shard.fsync));
   // The committed cut manifest stays: the destination bootstrap IS the
@@ -621,38 +603,12 @@ Status ShardedEngine::MigratePartition(uint32_t partition, uint32_t to_slot,
   // already committed on disk).
   runners_[partition]->Stop();
   const Status source_shutdown = runners_[partition]->engine().Shutdown();
-  runners_[partition] = MakeRunner(partition, std::move(dest_engine));
+  InstallShard(partition, std::move(dest_engine));
   // The scheduler's learned write-time EWMAs describe the OLD slot's disk;
   // zero them (and release any reservation the swallowed in-flight
   // checkpoint held) so the adaptive plan re-learns the new placement
   // instead of planning around stale estimates.
   scheduler_.ResetShard(partition, tick_);
-  if (config_.replicate) {
-    // The swap destroyed the replicas the old runner hosted; re-host them
-    // on the new runner, re-anchored at the quiesced current tick (their
-    // source partitions are idle and self-peering is forbidden, so
-    // runners_[r] is a live sibling safe to read here).
-    for (uint32_t r = 0; r < config_.num_shards; ++r) {
-      if (manifest_.replica_peer[r] != partition) continue;
-      auto buffer = std::make_unique<ReplicaBuffer>(r, config_.shard.layout,
-                                                    config_.replica_depth);
-      buffer->Anchor(runners_[r]->engine().state(), tick_);
-      runners_[partition]->HostReplica(std::move(buffer));
-    }
-    // And re-anchor the migrated partition's OWN replica on its peer host:
-    // the topology is partition-indexed so the peer designation survives
-    // the move, but re-anchoring at the quiesced post-move state clears
-    // any fold/torn debris in the ring, so a failover right after an
-    // automated rebalance rebuilds from a clean base (the
-    // failover-after-rebalance digest test pins this).
-    const uint32_t host = manifest_.replica_peer[partition];
-    if (host != partition) {
-      ReplicaBuffer* buffer = runners_[host]->replica(partition);
-      if (buffer != nullptr) {
-        buffer->Anchor(runners_[partition]->engine().state(), tick_);
-      }
-    }
-  }
   last_migration_report_.partition = partition;
   last_migration_report_.from_slot = from_slot;
   last_migration_report_.to_slot = to_slot;
@@ -809,10 +765,9 @@ Status ShardedEngine::FailoverShard(uint32_t partition) {
       }
     }
   }
+  const EngineConfig shard_config =
+      ShardConfig(manifest_.PartitionDir(config_.shard.dir, partition));
   if (!from_peer) {
-    EngineConfig shard_config = config_.shard;
-    shard_config.dir = manifest_.PartitionDir(config_.shard.dir, partition);
-    shard_config.manual_checkpoints = true;
     TP_ASSIGN_OR_RETURN(const RecoveryResult recovered,
                         Recover(shard_config, &table));
     if (recovered.recovered_ticks != tick_) {
@@ -834,40 +789,11 @@ Status ShardedEngine::FailoverShard(uint32_t partition) {
   // runner stays in place until the new engine opened -- an open failure
   // leaves the fleet exactly as FailoverShard found it, retryable.
   const auto resume_start = std::chrono::steady_clock::now();
-  EngineConfig shard_config = config_.shard;
-  shard_config.dir = manifest_.PartitionDir(config_.shard.dir, partition);
-  shard_config.manual_checkpoints = true;
   TP_ASSIGN_OR_RETURN(auto engine,
                       Engine::OpenResumed(shard_config, table, tick_));
-  runners_[partition] = MakeRunner(partition, std::move(engine));
   crashed_[partition] = 0;
   --crashed_count_;
-  if (config_.replicate) {
-    // Re-anchor the partition's replication topology. Its own replica on
-    // the (live) peer restarts from the rebuilt state -- Anchor also
-    // clears a torn ring, which is how a disk-path failover re-arms the
-    // fast path for the next death.
-    const uint32_t host = manifest_.replica_peer[partition];
-    if (!crashed_[host]) {
-      ReplicaBuffer* buffer = runners_[host]->replica(partition);
-      if (buffer != nullptr) {
-        buffer->Anchor(runners_[partition]->engine().state(), tick_);
-      }
-    }
-    // And the replicas the dead server hosted for others: fresh buffers on
-    // the new runner, anchored from their (idle) source engines. A source
-    // that is itself still crashed leaves its buffer torn; its own
-    // FailoverShard re-anchors it.
-    for (uint32_t r = 0; r < config_.num_shards; ++r) {
-      if (manifest_.replica_peer[r] != partition) continue;
-      auto buffer = std::make_unique<ReplicaBuffer>(r, config_.shard.layout,
-                                                    config_.replica_depth);
-      if (!crashed_[r]) {
-        buffer->Anchor(runners_[r]->engine().state(), tick_);
-      }
-      runners_[partition]->HostReplica(std::move(buffer));
-    }
-  }
+  InstallShard(partition, std::move(engine));
   report.resume_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     resume_start)

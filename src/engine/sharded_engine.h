@@ -249,7 +249,7 @@ class ShardedEngine {
   /// or an occupied destination slot.
   ///
   /// A non-empty `mount_root` relocates the destination slot's directory
-  /// under that path instead of the fleet root (a different disk); the v3
+  /// under that path instead of the fleet root (a different disk); the
   /// manifest records the override per partition, so recovery and every
   /// later reopen resolve the same directory.
   Status MigratePartition(uint32_t partition, uint32_t to_slot,
@@ -320,22 +320,23 @@ class ShardedEngine {
                              : nullptr;
   }
 
-  /// Partition `p`'s cumulative dirty-mark count (every dirty-bit Set its
-  /// engine ever performed). Monotonic across checkpoints; the delta
-  /// between two readings is the partition's write rate over that window
-  /// -- the rebalancer's load signal. Relaxed-atomic underneath, so safe
-  /// to poll from the facade thread while the runner keeps ticking; resets
-  /// to 0 when the partition's engine is replaced (migration, failover).
-  uint64_t PartitionDirtyMarks(uint32_t p) const {
-    return runners_[p]->engine().CumulativeDirtyMarks();
-  }
-
   const ShardedEngineConfig& config() const { return config_; }
   const StaggerScheduler& scheduler() const { return scheduler_; }
   uint32_t num_shards() const { return config_.num_shards; }
   uint64_t current_tick() const { return tick_; }
   /// True once a shard error hard-failed the fleet.
   bool failed() const { return failed_; }
+
+  /// Partition `p`'s applied-tick count and cumulative dirty-mark count
+  /// as one consistent pair (ShardRunner::progress): the rebalancer
+  /// divides the delta of the marks by the delta of the ticks, so a
+  /// runner lagging or leading the facade does not skew its rate. Safe to
+  /// poll from the facade thread while the runner keeps ticking; resets
+  /// to zero when the partition's runner is replaced (migration,
+  /// failover).
+  ShardRunner::Progress PartitionProgress(uint32_t p) const {
+    return runners_[p]->progress();
+  }
 
   /// Shard `i`'s engine. Safe only while the fleet is quiesced (inline
   /// mode, or after WaitForIdle/Shutdown/SimulateCrash).
@@ -347,10 +348,6 @@ class ShardedEngine {
   /// steady-state incremental timing is not polluted by the bootstrap.
   /// Requires a quiesced fleet (see shard()).
   ShardedCheckpointStats CheckpointStats(bool skip_first = false) const;
-
-  /// Checkpoint/log directory of shard slot `i` under `root` (delegates to
-  /// paths::ShardDir, the naming's single owner).
-  static std::string ShardDir(const std::string& root, uint32_t shard);
 
  private:
   // The Fleet facade is the only construction path: Fleet::Create opens
@@ -364,13 +361,14 @@ class ShardedEngine {
   static StatusOr<std::unique_ptr<ShardedEngine>> Open(
       const ShardedEngineConfig& config);
 
-  /// Fleet restart: re-opens every shard from recovered state -- the
-  /// output of RecoverFleet or RecoverFleetToCut, one table per partition
-  /// in partition order -- and resumes the fleet tick counter at
-  /// `first_tick` (crash recovery: the crash fleet's recovered_ticks; cut
-  /// recovery: cut_tick + 1). Each shard runs Engine::OpenResumed, so per
-  /// shard a synchronous bootstrap checkpoint is written, numbered above
-  /// every stale pre-crash image, before the new logical log starts: a
+  /// Fleet restart: re-opens every shard of the fleet `manifest`
+  /// describes under `root` (the manifest recovery already read) from
+  /// recovered state -- one table per partition in partition order -- and
+  /// resumes the fleet tick counter at `first_tick` (crash recovery: the
+  /// crash fleet's recovered_ticks; cut recovery: cut_tick + 1). Each
+  /// shard runs Engine::OpenResumed, so per shard a synchronous bootstrap
+  /// checkpoint is written, numbered above every stale pre-crash image,
+  /// before the new logical log starts: a
   /// crash at ANY later point -- including before the fleet's first
   /// resumed tick -- recovers to at least `first_tick`. Blocks for K
   /// sequential bootstrap writes; this is fleet restart downtime, not
@@ -379,8 +377,9 @@ class ShardedEngine {
   /// mid-resume never destroys a cut restore point while it is still
   /// reachable: resuming from the cut itself (first_tick == cut_tick + 1)
   /// keeps the fleet recoverable to exactly the cut throughout the
-  /// resume, and an older cut degrades to the per-shard fallback inside
-  /// the cut-recovery path.
+  /// resume, and an older cut is reached through retained history (or,
+  /// with retention off, degrades to the latest-recovery fallback inside
+  /// the cut-recovery path).
   ///
   /// `bump_epoch` (a point-in-time resume, RecoveredFleet::Resume after
   /// Fleet::RecoverToTick): once every shard's bootstrap is durable, the
@@ -388,24 +387,37 @@ class ShardedEngine {
   /// the new timeline's commit point. A crash before that commit leaves
   /// the old epoch intact and the operator simply re-runs the restore.
   static StatusOr<std::unique_ptr<ShardedEngine>> OpenResumed(
-      const ShardedEngineConfig& config,
+      const std::string& root, const FleetManifest& manifest,
       const std::vector<StateTable>& initial, uint64_t first_tick,
       bool bump_epoch = false);
 
   explicit ShardedEngine(const ShardedEngineConfig& config);
 
-  /// Shared Open/OpenResumed body: `initial` == nullptr opens fresh
-  /// engines at tick 0 (identity assignment, a new epoch-0 manifest);
-  /// otherwise every shard resumes from its table at `first_tick`, with
-  /// the partition assignment read from the durable manifest.
+  /// Shared Open/OpenResumed body. `manifest` is the fleet's durable
+  /// description (ManifestFromConfig for a fresh fleet). `initial` ==
+  /// nullptr opens fresh engines at tick 0 and commits `manifest` as the
+  /// epoch-0 superblock; otherwise every shard resumes from its table at
+  /// `first_tick` in the directory `manifest` assigns it.
   static StatusOr<std::unique_ptr<ShardedEngine>> OpenImpl(
-      const ShardedEngineConfig& config,
+      const ShardedEngineConfig& config, FleetManifest manifest,
       const std::vector<StateTable>* initial, uint64_t first_tick,
-      bool bump_epoch = false);
+      bool bump_epoch);
+
+  /// The engine config of the shard living in `dir`.
+  EngineConfig ShardConfig(const std::string& dir) const;
 
   /// Builds the ShardRunner for `partition` around `engine`.
   std::unique_ptr<ShardRunner> MakeRunner(uint32_t partition,
                                           std::unique_ptr<Engine> engine);
+
+  /// The shard swap shared by MigratePartition and FailoverShard, on a
+  /// quiesced fleet: installs a runner around `engine` (already resumed at
+  /// the fleet tick) as `partition`'s, re-anchors the partition's own
+  /// replica on its live host at the new engine's state, and re-hosts on
+  /// the new runner the replicas the swapped-out runner held, each
+  /// anchored from its source -- a source still crashed leaves its buffer
+  /// torn until its own FailoverShard re-anchors it.
+  void InstallShard(uint32_t partition, std::unique_ptr<Engine> engine);
 
   /// First sticky error across runners (polled without blocking).
   Status PollShardError();

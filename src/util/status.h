@@ -162,12 +162,18 @@ namespace internal {
     if (!_tp_st.ok()) return _tp_st;                \
   } while (0)
 
-#define TP_ASSIGN_OR_RETURN(lhs, statusor_expr)     \
-  auto _tp_so_##__LINE__ = (statusor_expr);         \
-  if (!_tp_so_##__LINE__.ok()) {                    \
-    return _tp_so_##__LINE__.status();              \
-  }                                                 \
-  lhs = std::move(_tp_so_##__LINE__).value();
+// Two-level paste so __LINE__ expands: each use in a scope gets its own
+// temporary.
+#define TP_CONCAT_IMPL(a, b) a##b
+#define TP_CONCAT(a, b) TP_CONCAT_IMPL(a, b)
+#define TP_ASSIGN_OR_RETURN(lhs, statusor_expr) \
+  TP_ASSIGN_OR_RETURN_IMPL(TP_CONCAT(_tp_so_, __LINE__), lhs, statusor_expr)
+#define TP_ASSIGN_OR_RETURN_IMPL(tmp, lhs, statusor_expr) \
+  auto tmp = (statusor_expr);                             \
+  if (!tmp.ok()) {                                        \
+    return tmp.status();                                  \
+  }                                                       \
+  lhs = std::move(tmp).value();
 
 }  // namespace tickpoint
 

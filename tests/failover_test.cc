@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "engine/mutator.h"
+#include "engine/paths.h"
 #include "engine/recovery.h"
 #include "engine/replica_buffer.h"
 #include "engine/sharded_engine.h"
@@ -92,7 +93,7 @@ class FailoverTest : public ::testing::Test {
                         uint64_t expect_ticks) {
     EngineConfig shard_config = config.shard;
     shard_config.dir =
-        ShardedEngine::ShardDir(config.shard.dir, engine.manifest().assignment[p]);
+        paths::ShardDir(config.shard.dir, engine.manifest().assignment[p]);
     shard_config.manual_checkpoints = true;
     StateTable table(config.shard.layout);
     auto result_or = Recover(shard_config, &table);
@@ -239,7 +240,7 @@ TEST_F(FailoverTest, AFailedFailoverNeverExposesTheLastReport) {
   ASSERT_NE(engine.replica_buffer(0), nullptr);
   engine.replica_buffer(0)->MarkTorn();
   std::filesystem::remove_all(
-      ShardedEngine::ShardDir(config.shard.dir, engine.manifest().assignment[0]));
+      paths::ShardDir(config.shard.dir, engine.manifest().assignment[0]));
   EXPECT_FALSE(fleet.FailoverShard(0).ok());
   EXPECT_FALSE(fleet.last_failover_report().used_peer_memory)
       << "the failed failover leaked the previous success's report";

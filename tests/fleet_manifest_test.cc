@@ -1,8 +1,8 @@
 // Robustness of the fleet-manifest superblock (fleet_manifest.h): every
 // way the durable fleet description can be damaged -- torn file, foreign
-// bytes, bit rot, a future format version, an assignment that disagrees
-// with the directory tree -- must surface a clean Status, never UB and
-// never a silent misrecovery. Includes the migration crash window: with
+// bytes, bit rot, a retired or future format version, an assignment that
+// disagrees with the directory tree -- must surface a clean Status, never
+// UB and never a silent misrecovery. Includes the migration crash window: with
 // both the old and the new epoch's manifest on disk (retirement did not
 // happen yet), recovery picks the newest; with the newest torn, it falls
 // back to the previous epoch.
@@ -107,7 +107,6 @@ TEST_F(FleetManifestTest, RoundTripsEveryField) {
   EXPECT_FALSE(read.threaded);
   EXPECT_EQ(read.max_queue_ticks, 17u);
   EXPECT_EQ(read.cut_lead_ticks, 4u);
-  EXPECT_FALSE(read.IsIdentityAssignment());
   EXPECT_EQ(read.PartitionDir(dir_, 1), paths::ShardDir(dir_, 4));
 }
 
@@ -133,42 +132,6 @@ TEST_F(FleetManifestTest, RoundTripsReplicationTopology) {
   EXPECT_EQ(off_or.value().replica_peer, (std::vector<uint32_t>{1, 2, 0}));
 }
 
-TEST_F(FleetManifestTest, ReadsAVersionOneManifestWithReplicationOff) {
-  // Backward compatibility: a fleet created before the replication era
-  // carries a v1 superblock -- 112-byte header + assignment + CRC, no
-  // extension, no peer vector. Synthesize one from a real v2 file by
-  // stripping the v2 payload and re-stamping version + CRC at their
-  // frozen offsets (8 and end-of-file), then prove it reads back with
-  // replication off and every other field intact.
-  const FleetManifest sample = Sample();
-  ASSERT_TRUE(WriteFleetManifest(dir_, sample, false).ok());
-  std::string bytes;
-  ASSERT_TRUE(ReadFileToString(Path(0), &bytes).ok());
-  const size_t kHeaderSize = 112, kExtSize = 16, kRetentionExtSize = 24;
-  const size_t peers_bytes = sample.num_partitions * sizeof(uint32_t);
-  // v4 layout: header + ext + assignment + replica peers + one u32 mount
-  // length per partition (all zero here) + retention ext + CRC.
-  ASSERT_EQ(bytes.size(),
-            kHeaderSize + kExtSize + 3 * peers_bytes + kRetentionExtSize + 4);
-  std::string v1 = bytes.substr(0, kHeaderSize) +
-                   bytes.substr(kHeaderSize + kExtSize, peers_bytes);
-  const uint32_t version = 1;
-  std::memcpy(&v1[8], &version, sizeof(version));
-  const uint32_t crc = Crc32(v1.data(), v1.size());
-  v1.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  ASSERT_TRUE(WriteStringToFile(Path(0), v1).ok());
-
-  auto read_or = ReadFleetManifestFile(Path(0));
-  ASSERT_TRUE(read_or.ok()) << read_or.status().ToString();
-  const FleetManifest& read = read_or.value();
-  EXPECT_FALSE(read.replicate);
-  EXPECT_TRUE(read.replica_peer.empty());
-  EXPECT_EQ(read.num_partitions, 3u);
-  EXPECT_EQ(read.assignment, (std::vector<uint32_t>{0, 4, 2}));
-  EXPECT_EQ(read.checkpoint_period_ticks, 7u);
-  EXPECT_EQ(read.algorithm, sample.algorithm);
-}
-
 TEST_F(FleetManifestTest, RoundTripsMountRoots) {
   // The v3 payload: a per-partition mount-point root, the durable record
   // of a rebalance that spawned a slot on another disk. PartitionDir must
@@ -186,34 +149,6 @@ TEST_F(FleetManifestTest, RoundTripsMountRoots) {
   EXPECT_EQ(read.PartitionDir(dir_, 1), paths::ShardDir("/mnt/fast", 4));
   EXPECT_EQ(read.PartitionDir(dir_, 0), paths::ShardDir(dir_, 0));
   EXPECT_EQ(read.PartitionDir(dir_, 2), paths::ShardDir(dir_, 2));
-}
-
-TEST_F(FleetManifestTest, ReadsAVersionTwoManifestWithoutMountRoots) {
-  // Backward compatibility with the replication-era format: synthesize a
-  // v2 file from a real v3 one by stripping the mount-length section and
-  // re-stamping version + CRC. It must read back with every partition
-  // under the fleet root.
-  const FleetManifest sample = Sample();
-  ASSERT_TRUE(WriteFleetManifest(dir_, sample, false).ok());
-  std::string bytes;
-  ASSERT_TRUE(ReadFileToString(Path(0), &bytes).ok());
-  const size_t kHeaderSize = 112, kExtSize = 16, kRetentionExtSize = 24;
-  const size_t peers_bytes = sample.num_partitions * sizeof(uint32_t);
-  ASSERT_EQ(bytes.size(),
-            kHeaderSize + kExtSize + 3 * peers_bytes + kRetentionExtSize + 4);
-  std::string v2 =
-      bytes.substr(0, kHeaderSize + kExtSize + 2 * peers_bytes);
-  const uint32_t version = 2;
-  std::memcpy(&v2[8], &version, sizeof(version));
-  const uint32_t crc = Crc32(v2.data(), v2.size());
-  v2.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  ASSERT_TRUE(WriteStringToFile(Path(0), v2).ok());
-
-  auto read_or = ReadFleetManifestFile(Path(0));
-  ASSERT_TRUE(read_or.ok()) << read_or.status().ToString();
-  EXPECT_TRUE(read_or.value().mount_root.empty());
-  EXPECT_EQ(read_or.value().assignment, (std::vector<uint32_t>{0, 4, 2}));
-  EXPECT_EQ(read_or.value().PartitionDir(dir_, 1), paths::ShardDir(dir_, 4));
 }
 
 TEST_F(FleetManifestTest, ImplausibleMountRootLengthIsCorruption) {
@@ -437,6 +372,94 @@ TEST_F(FleetManifestTest, FleetOpenSurfacesManifestDamageCleanly) {
   Truncate(Path(0), 50);
   EXPECT_EQ(Fleet::Open(dir_).status().code(), StatusCode::kCorruption);
 }
+
+// The retired formats: v1 (no replication extension, no peers), v2 (no
+// mount roots), v3 (no retention extension). Each is synthesized from a
+// real fleet's current manifest by stripping what the old writer never
+// wrote and re-stamping version + CRC at their frozen offsets (8 and
+// end-of-file). The reader knows one format: an older file is refused as
+// FailedPrecondition -- not Corruption, because falling back to an older
+// epoch would only find the same old format -- and no entry point opens
+// or recovers the fleet.
+class OldManifestVersionTest : public FleetManifestTest,
+                               public ::testing::WithParamInterface<uint32_t> {
+ protected:
+  /// `current` (a v4 file of a fleet whose mount roots are all empty)
+  /// rewritten in format `version`, stamped with `epoch`.
+  static std::string Downgrade(const std::string& current, uint32_t version,
+                               uint32_t num_partitions, uint64_t epoch) {
+    const size_t kHeaderSize = 112, kExtSize = 16, kRetentionExtSize = 24;
+    const size_t words = num_partitions * sizeof(uint32_t);
+    // v4: header + ext + assignment + replica peers + one u32 mount length
+    // per partition + retention ext + CRC.
+    EXPECT_EQ(current.size(),
+              kHeaderSize + kExtSize + 3 * words + kRetentionExtSize + 4);
+    std::string old;
+    switch (version) {
+      case 1:
+        old = current.substr(0, kHeaderSize) +
+              current.substr(kHeaderSize + kExtSize, words);
+        break;
+      case 2:
+        old = current.substr(0, kHeaderSize + kExtSize + 2 * words);
+        break;
+      default:
+        old = current.substr(0, current.size() - kRetentionExtSize - 4);
+        break;
+    }
+    std::memcpy(&old[8], &version, sizeof(version));
+    std::memcpy(&old[16], &epoch, sizeof(epoch));
+    const uint32_t crc = Crc32(old.data(), old.size());
+    old.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    return old;
+  }
+};
+
+TEST_P(OldManifestVersionTest, IsRefusedWithoutFallback) {
+  const uint32_t version = GetParam();
+  ShardedEngineConfig config;
+  config.shard.layout = StateLayout::Small(256, 10);
+  config.shard.fsync = false;
+  config.num_shards = 2;
+  {
+    auto fleet_or = Fleet::Create(dir_, config);
+    ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+    ASSERT_TRUE(fleet_or.value()->Shutdown().ok());
+  }
+  std::string current;
+  ASSERT_TRUE(ReadFileToString(Path(0), &current).ok());
+
+  // The only manifest is in the old format.
+  ASSERT_TRUE(
+      WriteStringToFile(Path(0), Downgrade(current, version, 2, 0)).ok());
+  auto read_or = ReadFleetManifestFile(Path(0));
+  EXPECT_EQ(read_or.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(read_or.status().message().find("version"), std::string::npos);
+  EXPECT_EQ(Fleet::Open(dir_).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Fleet::Recover(dir_).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The newest epoch is in the old format and an intact current one sits
+  // below it: the scan stops at the refusal instead of falling back.
+  ASSERT_TRUE(WriteStringToFile(Path(0), current).ok());
+  ASSERT_TRUE(
+      WriteStringToFile(Path(1), Downgrade(current, version, 2, 1)).ok());
+  EXPECT_EQ(ReadFleetManifestFile(Path(1)).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ReadNewestFleetManifest(dir_).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Fleet::Open(dir_).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Fleet::Recover(dir_).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+INSTANTIATE_TEST_SUITE_P(RetiredFormats, OldManifestVersionTest,
+                         ::testing::Values(1u, 2u, 3u),
+                         [](const ::testing::TestParamInfo<uint32_t>& info) {
+                           return "V" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace tickpoint

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/mutator.h"
+#include "engine/paths.h"
 #include "engine/recovery.h"
 #include "engine/sharded_engine.h"
 #include "fleet_test_util.h"
@@ -407,7 +408,7 @@ TEST_F(FleetResumeTest, MidResumeCrashWithOlderCutFallsBackPerShard) {
     // Shard 0 resumes at the crash tick (not the cut), then death before
     // shard 1 starts.
     EngineConfig shard0 = config.shard;
-    shard0.dir = ShardedEngine::ShardDir(config.shard.dir, 0);
+    shard0.dir = paths::ShardDir(config.shard.dir, 0);
     shard0.manual_checkpoints = true;
     auto engine_or =
         Engine::OpenResumed(shard0, crash_or->tables()[0], resume_tick);

@@ -7,13 +7,14 @@
 //      truncation swept with a one-shot injected crash after every durable
 //      step, each followed by a writable reopen (orphan sweep) and a retry
 //      that must converge on the no-crash outcome;
-//   3. the v4 fleet manifest retention extension (round-trip, v3 compat,
+//   3. the fleet manifest's retention extension (round-trip,
 //      forged-invalid rejection);
 //   4. Fleet::RecoverToTick / RestorableWindow end to end -- every tick in
 //      the advertised window restores to a state byte-equal to the
 //      deterministic reference (and digest-equal to the golden battle for
 //      the game workload), under both IO backends, across resume epochs,
-//      and degrading to latest recovery when a shard's index is torn.
+//      and degrading to latest recovery when a shard's index is torn --
+//      plus Fleet::RecoverToCut reaching a cut the live stores moved past.
 #include "engine/history.h"
 
 #include <gtest/gtest.h>
@@ -444,33 +445,6 @@ TEST_F(HistoryManifestTest, RetentionRoundTripsThroughTheManifest) {
   EXPECT_EQ(read_or->retention, written.retention);
 }
 
-TEST_F(HistoryManifestTest, ReadsAVersionThreeManifestWithRetentionOff) {
-  // Backward compatibility: a v3 superblock (pre-retention era) is a v4
-  // one minus the trailing 24-byte extension. Synthesize one by stripping
-  // the extension and re-stamping version + CRC: it must read back with
-  // retention off and every other field intact.
-  const FleetManifest sample = Sample();
-  ASSERT_TRUE(WriteFleetManifest(dir_, sample, /*fsync=*/false).ok());
-  const std::string path = paths::FleetManifestPath(dir_, 0);
-  std::string bytes;
-  ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
-  constexpr size_t kRetentionExtSize = 24;
-  ASSERT_GT(bytes.size(), kRetentionExtSize + 4);
-  std::string v3 = bytes.substr(0, bytes.size() - kRetentionExtSize - 4);
-  const uint32_t version = 3;
-  std::memcpy(&v3[8], &version, sizeof(version));
-  const uint32_t crc = Crc32(v3.data(), v3.size());
-  v3.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  ASSERT_TRUE(WriteStringToFile(path, v3).ok());
-
-  auto read_or = ReadFleetManifestFile(path);
-  ASSERT_TRUE(read_or.ok()) << read_or.status().ToString();
-  EXPECT_EQ(read_or->retention, RetentionPolicy{});
-  EXPECT_FALSE(read_or->retention.enabled);
-  EXPECT_EQ(read_or->num_partitions, 2u);
-  EXPECT_EQ(read_or->assignment, (std::vector<uint32_t>{0, 1}));
-}
-
 TEST_F(HistoryManifestTest, ForgedInvalidRetentionIsCorruption) {
   // retention enabled with max_generations == 0 cannot be produced by the
   // writer; a forged file carrying it (CRC fixed up) must be rejected by
@@ -639,6 +613,90 @@ TEST_P(FleetPitBackendTest, EveryTickInTheWindowRestoresExactly) {
       EXPECT_TRUE(below_or->tables()[i].ContentEquals(expected))
           << "shard " << i;
     }
+  }
+}
+
+TEST_P(FleetPitBackendTest, CutTheLiveStoresMovedPastLandsThroughHistory) {
+  // A committed cut stays a restore point after the live stores moved
+  // past it: partition 1 migrates at the cut (its new shard's logical log
+  // starts after the cut) and then checkpoints over its bootstrap image.
+  // RecoverToCut reaches the cut through retained history, and the fleet
+  // resumed there keeps playing and recovers exactly.
+  auto config = Config(2, GetParam());
+  // Room for the cut generation plus every checkpoint the loop below runs.
+  config.shard.retention.max_generations = 16;
+  std::vector<StateTable> reference;
+  std::vector<std::vector<StateTable>> per_tick;
+  uint64_t cut_tick = 0;
+  {
+    auto fleet_or = Fleet::Create(dir_, config);
+    ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+    Fleet& fleet = *fleet_or.value();
+    RunTicks(&fleet.engine(), 4, 0, &reference, &per_tick);
+    auto cut_or = fleet.RequestConsistentCut();
+    ASSERT_TRUE(cut_or.ok()) << cut_or.status().ToString();
+    cut_tick = cut_or.value();
+    RunTicks(&fleet.engine(), cut_tick + 1 - fleet.current_tick(), 0,
+             &reference, &per_tick);
+    ASSERT_TRUE(fleet.CommitConsistentCut().ok());
+    ASSERT_TRUE(fleet.MigratePartition(1, /*to_slot=*/2).ok());
+    // Tick on until every shard completed two checkpoints after the cut:
+    // the double-backup store then holds no image at or before it.
+    auto moved_past = [&] {
+      for (uint32_t i = 0; i < 2; ++i) {
+        uint32_t after = 0;
+        for (const auto& record : fleet.engine().shard(i).metrics().checkpoints) {
+          if (record.start_tick > cut_tick) ++after;
+        }
+        if (after < 2) return false;
+      }
+      return true;
+    };
+    for (int round = 0; round < 200; ++round) {
+      ASSERT_TRUE(fleet.WaitForIdle().ok());
+      if (moved_past()) break;
+      RunTicks(&fleet.engine(), 1, 0, &reference, &per_tick);
+    }
+    ASSERT_TRUE(moved_past());
+    ASSERT_TRUE(fleet.SimulateCrash().ok());
+  }
+  {
+    // The precondition the test is about: the migrated partition's live
+    // stores alone can no longer reproduce the cut.
+    auto manifest_or = ReadNewestFleetManifest(dir_);
+    ASSERT_TRUE(manifest_or.ok()) << manifest_or.status().ToString();
+    EngineConfig shard = ConfigFromManifest(*manifest_or, dir_).shard;
+    shard.dir = manifest_or->PartitionDir(dir_, 1);
+    StateTable scratch(ShardLayout());
+    ASSERT_EQ(RecoverToTick(shard, cut_tick, &scratch).status().code(),
+              StatusCode::kCorruption);
+  }
+
+  auto at_cut_or = Fleet::RecoverToCut(dir_);
+  ASSERT_TRUE(at_cut_or.ok()) << at_cut_or.status().ToString();
+  ASSERT_TRUE(at_cut_or->at_cut()) << "the cut fell back to latest recovery";
+  EXPECT_EQ(at_cut_or->result().cut_tick, cut_tick);
+  EXPECT_EQ(at_cut_or->resume_tick(), cut_tick + 1);
+  for (uint32_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(at_cut_or->tables()[i].Digest(), per_tick[cut_tick][i].Digest())
+        << "shard " << i << " at the cut";
+  }
+
+  std::vector<StateTable> resumed_reference = SnapshotTables(per_tick[cut_tick]);
+  {
+    auto fleet_or = at_cut_or->Resume();
+    ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+    EXPECT_EQ(fleet_or.value()->current_tick(), cut_tick + 1);
+    RunTicks(&fleet_or.value()->engine(), 7, /*salt=*/500, &resumed_reference,
+             nullptr);
+    ASSERT_TRUE(fleet_or.value()->SimulateCrash().ok());
+  }
+  auto latest_or = Fleet::Recover(dir_);
+  ASSERT_TRUE(latest_or.ok()) << latest_or.status().ToString();
+  EXPECT_EQ(latest_or->result().fleet.min_recovered_ticks, cut_tick + 8);
+  for (uint32_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(latest_or->tables()[i].Digest(), resumed_reference[i].Digest())
+        << "shard " << i << " after the resumed run";
   }
 }
 
