@@ -743,7 +743,7 @@ int main(int argc, char** argv) {
 
   // ---- Checkpoint stall: sync vs async IO backend ----
   //
-  // The staged-pipeline payoff row: a wide fleet takes periodic consistent
+  // The async-pipeline payoff row: a wide fleet takes periodic consistent
   // cuts and every shard's cut record contributes one mutator-stall sample
   // (the block inside the cut tick's EndTick). Under the sync backend the
   // block includes the whole image write + fsync; under the async backend

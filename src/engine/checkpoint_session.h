@@ -1,18 +1,17 @@
-// CheckpointWriteSession: the staging half of the checkpoint pipeline.
+// CheckpointWriteSession: the snapshot half of the checkpoint pipeline.
 //
-// The writer used to hand the stores one object at a time; a session
-// instead gathers the dirty pass's objects into large 4096-aligned group
+// A session gathers a checkpoint's objects into large 4096-aligned group
 // buffers and emits them as contiguous runs, so the store layer sees a few
-// big writes (one doublewrite chunk + one in-place write per run for
-// BackupStore, one appended record run for LogStore) instead of thousands
-// of small ones.
+// big writes (one in-place write per run for BackupStore, one appended
+// record run for LogStore) instead of thousands of small ones. Writer jobs
+// and the resume bootstrap both write through a session.
 //
 // Lifetime contract: emitted runs point INTO the session's buffers, and
-// the stores may still have async writes in flight against them (the
-// doublewrite stage, the in-place apply). The session therefore retains
-// every buffer until it is destroyed, and its destructor drains the
-// IoBackend -- so even an error/crash-injection path that abandons a
-// checkpoint mid-flight cannot free memory under a pending write.
+// BackupStore may still have async in-place writes in flight against them
+// until FinishCheckpoint. The session therefore retains every buffer until
+// it is destroyed, and its destructor drains the IoBackend -- so even an
+// error/crash-injection path that abandons a checkpoint mid-flight cannot
+// free memory under a pending write.
 #ifndef TICKPOINT_ENGINE_CHECKPOINT_SESSION_H_
 #define TICKPOINT_ENGINE_CHECKPOINT_SESSION_H_
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "engine/paths.h"
 #include "util/crc32.h"
@@ -61,21 +62,19 @@ std::string BackupStore::ImageFileName(int index) {
 
 StatusOr<std::unique_ptr<BackupStore>> BackupStore::Open(
     const std::string& dir, const StateLayout& layout, bool fsync_enabled,
-    IoBackend* backend, bool replay_doublewrite) {
-  TP_RETURN_NOT_OK(EnsureDirectory(dir));
+    IoBackend* backend, bool writable) {
   std::unique_ptr<BackupStore> store(new BackupStore(layout, fsync_enabled));
   for (int i = 0; i < 2; ++i) {
     store->paths_[i] = dir + "/" + ImageFileName(i);
   }
-  if (replay_doublewrite) {
-    // Complete any staged in-place batch a crash interrupted, before
-    // anyone opens or reads the images (the recovery path inherits this by
-    // simply opening the store).
-    TP_RETURN_NOT_OK(DoublewriteRegion::Replay(paths::DoublewritePath(dir),
-                                               store->paths_, 2,
-                                               fsync_enabled)
-                         .status());
-  }
+  if (!writable) return store;
+  TP_RETURN_NOT_OK(EnsureDirectory(dir));
+  // An older build staged every checkpoint through a doublewrite region
+  // first. Its batch only ever targeted an image whose header was already
+  // invalidated, so the images alone decide recovery and the file is
+  // dead weight.
+  TP_RETURN_NOT_OK(
+      RemoveFileIfExists(dir + "/" + paths::DoublewriteFileName()));
   for (int i = 0; i < 2; ++i) {
     TP_RETURN_NOT_OK(store->files_[i].OpenForUpdate(store->paths_[i]));
   }
@@ -85,11 +84,6 @@ StatusOr<std::unique_ptr<BackupStore>> BackupStore::Open(
     store->owned_backend_ = IoBackend::Create(IoBackendKind::kSync);
     store->backend_ = store->owned_backend_.get();
   }
-  if (replay_doublewrite) {
-    TP_ASSIGN_OR_RETURN(
-        store->dw_, DoublewriteRegion::Open(paths::DoublewritePath(dir),
-                                            fsync_enabled, store->backend_));
-  }
   return store;
 }
 
@@ -98,8 +92,14 @@ const std::string& BackupStore::path(int index) const {
   return paths_[index];
 }
 
+Status BackupStore::CheckWritable() const {
+  if (backend_ != nullptr) return Status::OK();
+  return Status::FailedPrecondition("backup store opened read-only");
+}
+
 Status BackupStore::BeginCheckpoint(int index) {
   TP_CHECK(index == 0 || index == 1);
+  TP_RETURN_NOT_OK(CheckWritable());
   BackupHeader zero;
   zero.magic = 0;  // invalid
   TP_RETURN_NOT_OK(files_[index].WriteAt(0, &zero, sizeof(zero)));
@@ -111,95 +111,20 @@ Status BackupStore::WriteRange(int index, ObjectId first, const void* data,
                                uint64_t count) {
   TP_CHECK(index == 0 || index == 1);
   TP_DCHECK(first + count <= layout_.num_objects());
+  TP_RETURN_NOT_OK(CheckWritable());
   const uint64_t offset = kBackupDataOffset + first * layout_.object_size;
-  return files_[index].WriteAt(offset, data, count * layout_.object_size);
-}
-
-bool BackupStore::TakeCrashPoint(StageCrashPoint point) {
-  if (stage_crash_point_ != point) return false;
-  stage_crash_point_ = StageCrashPoint::kNone;
-  return true;
-}
-
-Status BackupStore::BeginStagedCheckpoint(int index) {
-  TP_CHECK(index == 0 || index == 1);
-  if (dw_ == nullptr) {
-    return Status::FailedPrecondition(
-        "store opened without doublewrite replay: staged writes disabled");
-  }
-  TP_CHECK(staged_index_ == -1);
-  // Header-invalidate first (durably), exactly as in the unstaged
-  // protocol: once a staged batch exists for this image, the image is
-  // already ineligible for recovery, so replaying the batch can never
-  // touch a recoverable image.
-  TP_RETURN_NOT_OK(BeginCheckpoint(index));
-  TP_RETURN_NOT_OK(dw_->BeginBatch());
-  staged_index_ = index;
-  staged_.clear();
-  if (TakeCrashPoint(StageCrashPoint::kAfterBegin)) {
-    AbandonStaged();
-    return Status::Internal("crash injected after staged begin");
-  }
+  last_write_ = backend_->SubmitWrite(&files_[index], offset, data,
+                                      count * layout_.object_size);
   return Status::OK();
-}
-
-Status BackupStore::StageRun(int index, ObjectId first, const void* data,
-                             uint64_t count) {
-  TP_CHECK(staged_index_ == index);
-  TP_DCHECK(first + count <= layout_.num_objects());
-  const uint64_t offset = kBackupDataOffset + first * layout_.object_size;
-  dw_->StageChunk(static_cast<uint32_t>(index), offset, data,
-                  count * layout_.object_size);
-  staged_.push_back(StagedRun{first, static_cast<const uint8_t*>(data),
-                              count});
-  if (staged_.size() == 1 &&
-      TakeCrashPoint(StageCrashPoint::kAfterFirstStage)) {
-    AbandonStaged();
-    return Status::Internal("crash injected after first doublewrite stage");
-  }
-  return Status::OK();
-}
-
-Status BackupStore::SealAndApplyStaged(int index) {
-  TP_CHECK(staged_index_ == index);
-  TP_RETURN_NOT_OK(dw_->Seal());
-  if (TakeCrashPoint(StageCrashPoint::kAfterSeal)) {
-    AbandonStaged();
-    return Status::Internal("crash injected after doublewrite seal");
-  }
-  IoTicket last = 0;
-  bool crash_after_first = false;
-  for (const StagedRun& run : staged_) {
-    const uint64_t offset = kBackupDataOffset + run.first * layout_.object_size;
-    last = backend_->SubmitWrite(&files_[index], offset, run.data,
-                                 run.count * layout_.object_size);
-    if (last != 0 && TakeCrashPoint(StageCrashPoint::kAfterFirstApply)) {
-      crash_after_first = true;
-      break;
-    }
-  }
-  if (crash_after_first) {
-    AbandonStaged();  // the submitted run lands; the rest never do
-    return Status::Internal("crash injected after first in-place apply");
-  }
-  const Status status = last != 0 ? backend_->WaitFor(last) : Status::OK();
-  staged_.clear();
-  staged_index_ = -1;
-  return status;
-}
-
-void BackupStore::AbandonStaged() {
-  // Callers free their run buffers right after this; no in-flight write
-  // may still reference them (or the doublewrite region's headers).
-  if (backend_ != nullptr) backend_->Drain();
-  staged_.clear();
-  staged_index_ = -1;
 }
 
 Status BackupStore::FinishCheckpoint(int index, uint64_t seq,
                                      uint64_t consistent_tick,
                                      uint32_t state_crc) {
   TP_CHECK(index == 0 || index == 1);
+  TP_RETURN_NOT_OK(CheckWritable());
+  const IoTicket last = std::exchange(last_write_, 0);
+  if (last != 0) TP_RETURN_NOT_OK(backend_->WaitFor(last));
   TP_RETURN_NOT_OK(MakeDurable(index));  // data durable first
   BackupHeader header;
   header.magic = kBackupMagic;
@@ -216,10 +141,11 @@ Status BackupStore::FinishCheckpoint(int index, uint64_t seq,
 
 StatusOr<ImageInfo> BackupStore::Inspect(int index) {
   TP_CHECK(index == 0 || index == 1);
+  ImageInfo info;
+  if (!FileExists(paths_[index])) return info;  // read-only open: no image
   FileReader reader;
   TP_RETURN_NOT_OK(reader.Open(paths_[index]));
   TP_ASSIGN_OR_RETURN(const uint64_t size, reader.Size());
-  ImageInfo info;
   if (size < sizeof(BackupHeader)) return info;  // empty/new file: invalid
   BackupHeader header;
   TP_RETURN_NOT_OK(reader.ReadExact(&header, sizeof(header)));
@@ -326,18 +252,6 @@ Status LogStore::BeginSegment(uint64_t seq, uint64_t consistent_tick,
   return Status::OK();
 }
 
-Status LogStore::AppendObject(ObjectId object, const void* data) {
-  TP_CHECK(segment_open_);
-  TP_CHECK(segment_objects_written_ < segment_objects_declared_);
-  const uint64_t id = object;
-  TP_RETURN_NOT_OK(writer_.Append(&id, sizeof(id)));
-  TP_RETURN_NOT_OK(writer_.Append(data, layout_.object_size));
-  segment_crc_ = Crc32(&id, sizeof(id), segment_crc_);
-  segment_crc_ = Crc32(data, layout_.object_size, segment_crc_);
-  ++segment_objects_written_;
-  return Status::OK();
-}
-
 Status LogStore::AppendRun(ObjectId first, const void* data, uint64_t count) {
   TP_CHECK(segment_open_);
   TP_CHECK(segment_objects_written_ + count <= segment_objects_declared_);
@@ -374,15 +288,6 @@ Status LogStore::CommitSegment() {
 void LogStore::AbortSegment() { segment_open_ = false; }
 
 Status LogStore::DropGenerationsBefore(uint64_t gen) {
-  // Generations advance one at a time; sweeping a small window behind the
-  // current one keeps the directory clean without a full listing.
-  for (uint64_t g = gen >= 8 ? gen - 8 : 0; g < gen; ++g) {
-    TP_RETURN_NOT_OK(RemoveFileIfExists(GenPath(g)));
-  }
-  return Status::OK();
-}
-
-Status LogStore::DropAllGenerationsBefore(uint64_t gen) {
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     uint64_t g = 0;

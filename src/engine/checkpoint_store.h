@@ -5,26 +5,21 @@
 // two in-place images; checkpoints alternate between them so one complete,
 // consistent image exists at all times. Each image file is
 // [header][object 0][object 1]...; objects are written at their fixed
-// offsets in increasing order (the sorted-I/O pattern). The write protocol
-// is crash-safe: the header is invalidated (fsync) before any data write
-// and revalidated (fsync) only after all data is durable, so a torn
-// checkpoint is never eligible for recovery while the sibling image stays
-// untouched.
-//
-// The staged pipeline (ROADMAP item 1) layers a doublewrite guard on top
-// of that contract: a staged checkpoint submits its group-buffer runs
-// through an IoBackend into the CRC'd doublewrite region first, seals it,
-// and only then lands the runs in place -- so a torn in-place batch is
-// *repaired* by replay on the next open, not merely kept from mattering by
-// the invalid header. The plain WriteRange path remains for bootstrap
-// writes and tests; both paths preserve the header protocol unchanged.
+// offsets in increasing order (the sorted-I/O pattern). A checkpoint is
+// BeginCheckpoint -> WriteRange* -> FinishCheckpoint: the header is
+// invalidated (fsync) before any data write, the group-buffer runs are
+// submitted in place through the store's IoBackend, and the header is
+// revalidated (fsync) only after every run landed and the data is durable.
+// A torn checkpoint is therefore never eligible for recovery, and the
+// sibling image stays untouched.
 //
 // LogStore -- the log organization of the partial-redo family: checkpoints
 // are appended as self-validating segments. A full flush starts a new log
 // generation; once it commits, older generations are deleted (this bounds
 // the log read-back at recovery to C incremental segments plus one full
-// flush, the paper's (k*C + n) model). Appends are already torn-safe (the
-// trailing segment CRC), so staged runs append as before -- no doublewrite.
+// flush, the paper's (k*C + n) model). Appends are torn-safe by the
+// trailing segment CRC; records are appended one group-buffer run at a
+// time (AppendRun).
 #ifndef TICKPOINT_ENGINE_CHECKPOINT_STORE_H_
 #define TICKPOINT_ENGINE_CHECKPOINT_STORE_H_
 
@@ -33,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/doublewrite.h"
 #include "engine/state_table.h"
 #include "model/layout.h"
 #include "util/io.h"
@@ -50,72 +44,36 @@ struct ImageInfo {
   uint32_t state_crc = 0;        // 0 = not recorded
 };
 
-/// The double-backup store: files backup0.img and backup1.img under `dir`,
-/// plus the doublewrite region (paths::DoublewriteFileName).
+/// The double-backup store: files backup0.img and backup1.img under `dir`.
 class BackupStore {
  public:
-  /// Crash-injection hooks for the staged pipeline: the named boundary
-  /// returns an injected error instead of proceeding (after draining any
-  /// in-flight writes), leaving the disk exactly as a crash there would.
-  enum class StageCrashPoint {
-    kNone = 0,
-    /// After the header invalidate, before any doublewrite staging.
-    kAfterBegin,
-    /// After the first run's doublewrite chunk, before the seal fsync
-    /// (the region may hold a torn batch).
-    kAfterFirstStage,
-    /// After the doublewrite seal, before any in-place write (replay must
-    /// complete the batch).
-    kAfterSeal,
-    /// After the first in-place run landed, the rest abandoned (the torn
-    /// in-place batch replay repairs).
-    kAfterFirstApply,
-  };
-
-  /// Opens (creating if needed) both backup files sized for `layout`.
-  /// `backend` routes the staged pipeline's writes (null: the store owns a
-  /// private synchronous backend). `replay_doublewrite` applies and then
-  /// discards any batch left in the doublewrite region -- pass false only
-  /// for read-only inspection, which must not mutate a crash image; the
-  /// staged API is unavailable then.
+  /// Opens both backup files sized for `layout`. `backend` routes the
+  /// in-place data writes (null: the store owns a private synchronous
+  /// backend). A `writable` open creates missing files and deletes the
+  /// doublewrite region (paths::DoublewriteFileName) an older build may
+  /// have left behind. `writable` false is inspection: nothing is created
+  /// or modified, a missing image reads as invalid, and every write
+  /// returns FailedPrecondition.
   static StatusOr<std::unique_ptr<BackupStore>> Open(
       const std::string& dir, const StateLayout& layout, bool fsync_enabled,
-      IoBackend* backend = nullptr, bool replay_doublewrite = true);
+      IoBackend* backend = nullptr, bool writable = true);
 
   /// Bare filename of backup image `index` ("backup0.img"/"backup1.img") --
   /// the single owner of the naming rule.
   static std::string ImageFileName(int index);
 
-  /// Invalidates backup `index`'s header; must precede data writes.
+  /// Durably invalidates backup `index`'s header; must precede data writes.
   Status BeginCheckpoint(int index);
 
-  /// Writes `count` consecutive objects starting at `first` from `data`.
-  /// The direct (unstaged) path: bootstrap images and tests.
+  /// Submits `count` consecutive objects starting at `first` from `data`
+  /// to their in-place offsets. `data` must stay valid until
+  /// FinishCheckpoint returns or the backend is drained.
   Status WriteRange(int index, ObjectId first, const void* data,
                     uint64_t count);
 
-  // Staged pipeline: Begin -> Stage* -> SealAndApply -> FinishCheckpoint.
-
-  /// BeginCheckpoint + opens a doublewrite batch for image `index`.
-  Status BeginStagedCheckpoint(int index);
-
-  /// Stages one group-buffer run (`count` objects from id `first`) into
-  /// the doublewrite region. `data` must stay valid until
-  /// SealAndApplyStaged or AbandonStaged returns (the session contract).
-  Status StageRun(int index, ObjectId first, const void* data,
-                  uint64_t count);
-
-  /// Seals the doublewrite region (fsync), then lands every staged run at
-  /// its in-place offset. After this, FinishCheckpoint revalidates the
-  /// header exactly as in the unstaged protocol.
-  Status SealAndApplyStaged(int index);
-
-  /// Abandons an open staged batch (error/crash paths): drains in-flight
-  /// writes so callers may free run buffers; on-disk bytes stay torn.
-  void AbandonStaged();
-
-  /// Makes the image durable and valid: fsync data, then write + fsync the
-  /// header. `state_crc` may be 0 (unchecked).
+  /// Makes the image durable and valid: waits for the submitted writes,
+  /// fsyncs the data, then writes + fsyncs the header. `state_crc` may be
+  /// 0 (unchecked).
   Status FinishCheckpoint(int index, uint64_t seq, uint64_t consistent_tick,
                           uint32_t state_crc);
 
@@ -128,40 +86,26 @@ class BackupStore {
 
   const std::string& path(int index) const;
 
-  /// Arms a one-shot crash at `point` (tests only).
-  void SetStageCrashPointForTest(StageCrashPoint point) {
-    stage_crash_point_ = point;
-  }
-
  private:
   BackupStore(const StateLayout& layout, bool fsync_enabled);
+  /// FailedPrecondition unless the store was opened writable.
+  Status CheckWritable() const;
   /// Flush semantics of the old FileWriter path are free with fds (no
   /// userspace buffer); durability still honors fsync_enabled_.
   Status MakeDurable(int index);
-  /// True (once) when the armed crash point is `point`; the caller then
-  /// abandons the batch and returns the injected error.
-  bool TakeCrashPoint(StageCrashPoint point);
 
   StateLayout layout_;
   bool fsync_enabled_;
   std::string paths_[2];
+  /// Open only in a writable store.
   IoFile files_[2];
 
   /// Write routing. backend_ points at the engine-owned backend, or at
-  /// owned_backend_ when the caller supplied none.
+  /// owned_backend_ when the caller supplied none; null when read-only.
   IoBackend* backend_ = nullptr;
   std::unique_ptr<IoBackend> owned_backend_;
-  /// Null when opened with replay_doublewrite=false (inspection).
-  std::unique_ptr<DoublewriteRegion> dw_;
-
-  struct StagedRun {
-    ObjectId first = 0;
-    const uint8_t* data = nullptr;
-    uint64_t count = 0;
-  };
-  std::vector<StagedRun> staged_;
-  int staged_index_ = -1;
-  StageCrashPoint stage_crash_point_ = StageCrashPoint::kNone;
+  /// Ticket of the newest WriteRange submission (0: none pending).
+  IoTicket last_write_ = 0;
 };
 
 /// One segment inside a log generation (for inspection/tests).
@@ -192,11 +136,9 @@ class LogStore {
   /// current generation.
   Status BeginSegment(uint64_t seq, uint64_t consistent_tick, bool full_flush,
                       uint64_t object_count);
-  /// Appends one object record to the open segment.
-  Status AppendObject(ObjectId object, const void* data);
   /// Appends `count` records for consecutive ids starting at `first`, with
   /// payloads packed contiguously at `data` -- one buffered write per
-  /// group-buffer run instead of two per object.
+  /// group-buffer run.
   Status AppendRun(ObjectId first, const void* data, uint64_t count);
   /// Seals the segment (trailing CRC) and makes it durable. All declared
   /// objects must have been appended.
@@ -204,14 +146,10 @@ class LogStore {
   /// Abandons an open segment (crash injection); the torn bytes remain.
   void AbortSegment();
 
-  /// Deletes generation files with gen < `gen` in a small window behind it
-  /// (generations advance one at a time in normal operation).
+  /// Deletes every generation file with gen < `gen` (a full directory
+  /// scan): a committed full flush retires all older generations, whatever
+  /// numbers a previous incarnation left behind.
   Status DropGenerationsBefore(uint64_t gen);
-
-  /// Deletes EVERY generation file with gen < `gen`, via a full directory
-  /// scan. The resume bootstrap uses this to retire stale pre-crash
-  /// generations wholesale, whatever numbers they reached.
-  Status DropAllGenerationsBefore(uint64_t gen);
 
   /// First generation number strictly above every generation file found on
   /// disk when the store was opened (0 for a fresh directory): what a

@@ -54,10 +54,6 @@ Status RemoveStaleCheckpointFiles(const std::string& dir) {
 
 }  // namespace
 
-std::string Engine::LogicalLogPath(const std::string& dir) {
-  return paths::LogicalLogPath(dir);
-}
-
 Engine::Engine(const EngineConfig& config)
     : config_(config),
       traits_(GetTraits(config.algorithm)),
@@ -118,7 +114,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::OpenResumed(
     TP_RETURN_NOT_OK(engine->history_->TruncateAbove(first_tick));
     if (first_tick > 0) {
       TP_RETURN_NOT_OK(engine->history_->ArchiveLiveLog(
-          LogicalLogPath(config.dir), first_tick - 1));
+          paths::LogicalLogPath(config.dir), first_tick - 1));
     }
   }
   TP_RETURN_NOT_OK(engine->WriteBootstrapCheckpoint());
@@ -141,40 +137,34 @@ Status Engine::WriteBootstrapCheckpoint() {
   // bootstrap durable first, stale state demoted second -- was the dribble
   // resume flake: the bootstrap used to restart generation numbering at 0
   // and lose recovery's newest-generation race to its own past.)
-  const uint64_t n = config_.layout.num_objects();
+  Job job;
+  job.consistent_ticks = tick_;
+  job.all_objects = true;
+  job.object_count = config_.layout.num_objects();
   if (traits_.disk == DiskOrganization::kDoubleBackup) {
-    uint64_t bootstrap_seq = 0;
     for (int index = 0; index < 2; ++index) {
       TP_ASSIGN_OR_RETURN(const ImageInfo info, backup_->Inspect(index));
-      if (info.valid) bootstrap_seq = std::max(bootstrap_seq, info.seq + 1);
+      if (info.valid) job.seq = std::max(job.seq, info.seq + 1);
     }
-    checkpoint_seq_ = bootstrap_seq + 1;
-    TP_RETURN_NOT_OK(backup_->BeginCheckpoint(0));
-    TP_RETURN_NOT_OK(backup_->WriteRange(0, 0, state_.data(), n));
-    const uint32_t crc =
-        config_.checksum_state ? state_.Digest() : 0;
-    TP_RETURN_NOT_OK(backup_->FinishCheckpoint(0, bootstrap_seq, tick_, crc));
+    job.backup_index = 0;
+  } else {
+    // A full flush opening a fresh generation; its commit retires every
+    // stale generation, whatever numbers the previous incarnation reached.
+    job.log_gen = log_->NextFreshGeneration();
+    job.new_generation = true;
+  }
+  TP_RETURN_NOT_OK(WriteCheckpoint(job, state_.data()));
+  if (traits_.disk == DiskOrganization::kDoubleBackup) {
     // Invalidate the stale sibling only after the bootstrap is durable: a
     // fallback to it would silently skip the ticks the truncated logical
     // log no longer carries.
     TP_RETURN_NOT_OK(backup_->BeginCheckpoint(1));
     backup_written_[0] = true;
     next_backup_ = 1;
+    checkpoint_seq_ = job.seq + 1;
   } else {
     checkpoint_seq_ = 1;
-    const uint64_t gen = log_->NextFreshGeneration();
-    TP_RETURN_NOT_OK(log_->BeginGeneration(gen));
-    TP_RETURN_NOT_OK(log_->BeginSegment(0, tick_, /*full_flush=*/true, n));
-    for (ObjectId o = 0; o < n; ++o) {
-      TP_RETURN_NOT_OK(log_->AppendObject(o, state_.ObjectData(o)));
-    }
-    TP_RETURN_NOT_OK(log_->CommitSegment());
-    // Every stale generation dies now, not lazily: DropGenerationsBefore
-    // only sweeps a small window behind each new generation, which would
-    // leave high-numbered pre-crash generations shadowing this run's until
-    // its counter caught up.
-    TP_RETURN_NOT_OK(log_->DropAllGenerationsBefore(gen));
-    next_log_gen_ = gen + 1;
+    next_log_gen_ = job.log_gen + 1;
     log_started_ = true;
   }
   if (history_ != nullptr) {
@@ -212,7 +202,7 @@ Status Engine::StartLogicalLogAndWriter() {
   // the checkpoint store is the only durable source for pre-resume ticks
   // (see the ordering note in OpenResumed).
   TP_ASSIGN_OR_RETURN(logical_,
-                      LogicalLog::Create(LogicalLogPath(config_.dir),
+                      LogicalLog::Create(paths::LogicalLogPath(config_.dir),
                                          config_.logical_sync_every));
   writer_ = std::thread([this] { WriterMain(); });
   return Status::OK();
@@ -520,106 +510,72 @@ const uint8_t* Engine::CouSource(ObjectId object, uint8_t* staging) {
 }
 
 Status Engine::ExecuteJob(const Job& job) {
+  // Eager jobs write the snapshot in aux_; copy-on-update jobs fetch the
+  // live objects (Write-Copies vs Write-Objects).
+  TP_RETURN_NOT_OK(WriteCheckpoint(job, job.cou_mode ? nullptr : aux_.data()));
+  return ArchiveCompletedCheckpoint(job);
+}
+
+Status Engine::WriteCheckpoint(const Job& job, const uint8_t* snapshot) {
   const uint64_t n = config_.layout.num_objects();
   const uint64_t object_size = config_.layout.object_size;
-  std::vector<uint8_t> staging(object_size);
-
+  const bool backup = traits_.disk == DiskOrganization::kDoubleBackup;
   auto crashed = [this] {
     return crashed_.load(std::memory_order_relaxed);
   };
 
-  if (traits_.disk == DiskOrganization::kDoubleBackup) {
-    // Staged pipeline: objects are gathered into the session's aligned
-    // group buffers (the COW point -- after Add returns, the mutator may
-    // overwrite the source), each full buffer flushes as one run into the
-    // doublewrite region, and only a sealed batch lands in place. The
-    // session must outlive SealAndApplyStaged: both the doublewrite chunks
-    // and the in-place writes read straight out of its buffers.
-    TP_RETURN_NOT_OK(backup_->BeginStagedCheckpoint(job.backup_index));
-    {
-      const int backup_index = job.backup_index;
-      CheckpointWriteSession session(
-          object_size, io_backend_.get(),
-          [this, backup_index](ObjectId first, const uint8_t* data,
-                               uint64_t count) {
-            return backup_->StageRun(backup_index, first, data, count);
-          });
-      Status status = Status::OK();
-      for (uint64_t o = 0; o < n && status.ok(); ++o) {
-        if (!job.all_objects && !write_set_.Test(o)) continue;
-        if (crashed()) {
-          status = Status::Internal("crash injected");
-          break;
-        }
-        // Eager jobs read the snapshot in aux_; copy-on-update jobs fetch
-        // the live object under its lock (Write-Objects vs Write-Copies).
-        const uint8_t* src = job.cou_mode
-                                 ? CouSource(o, staging.data())
-                                 : aux_.data() + o * object_size;
-        status = session.Add(o, src);
-      }
-      if (status.ok()) status = session.Finish();
-      if (status.ok()) status = backup_->SealAndApplyStaged(job.backup_index);
-      if (!status.ok()) {
-        // Drain in-flight writes before the session (and its buffers) dies.
-        backup_->AbandonStaged();
-        return status;
-      }
+  if (backup) {
+    TP_RETURN_NOT_OK(backup_->BeginCheckpoint(job.backup_index));
+  } else {
+    if (job.new_generation) {
+      TP_RETURN_NOT_OK(log_->BeginGeneration(job.log_gen));
     }
-    uint32_t state_crc = 0;
-    if (config_.checksum_state && !job.cou_mode && job.all_objects) {
-      state_crc = Crc32(aux_.data(), state_.buffer_bytes());
-    }
-    if (crashed()) return Status::Internal("crash injected");
-    TP_RETURN_NOT_OK(backup_->FinishCheckpoint(job.backup_index, job.seq,
-                                               job.consistent_ticks,
-                                               state_crc));
-    return ArchiveCompletedCheckpoint(job);
+    TP_RETURN_NOT_OK(log_->BeginSegment(job.seq, job.consistent_ticks,
+                                        job.all_objects, job.object_count));
   }
-
-  // Log organization.
-  if (job.new_generation) {
-    TP_RETURN_NOT_OK(log_->BeginGeneration(job.log_gen));
-  }
-  TP_RETURN_NOT_OK(log_->BeginSegment(job.seq, job.consistent_ticks,
-                                      job.all_objects, job.object_count));
-  {
-    // Appends are already torn-safe (trailing segment CRC), so log runs
-    // skip the doublewrite region and the backend: the session only
-    // coalesces objects into group-buffer appends (null backend = the
-    // emit callback completes the write before returning).
-    CheckpointWriteSession session(
-        object_size, /*backend=*/nullptr,
-        [this](ObjectId first, const uint8_t* data, uint64_t count) {
-          return log_->AppendRun(first, data, count);
-        });
-    Status status = Status::OK();
-    for (uint64_t o = 0; o < n && status.ok(); ++o) {
-      if (!job.all_objects && !write_set_.Test(o)) continue;
-      if (crashed()) {
-        status = Status::Internal("crash injected");
-        break;
-      }
-      const uint8_t* src = job.cou_mode
-                               ? CouSource(o, staging.data())
-                               : aux_.data() + o * object_size;
-      status = session.Add(o, src);
+  // Objects are gathered into the session's aligned group buffers (the COW
+  // point -- after Add returns, the mutator may overwrite the source), and
+  // each run goes to the store as it is emitted: submitted in place through
+  // the backend, or appended as one record run. In-place writes read
+  // straight out of the session's buffers, so the session outlives
+  // FinishCheckpoint, and its destructor drains the backend on every error
+  // path.
+  std::vector<uint8_t> staging(object_size);
+  CheckpointWriteSession session(
+      object_size, backup ? io_backend_.get() : nullptr,
+      [&](ObjectId first, const uint8_t* data, uint64_t count) {
+        return backup ? backup_->WriteRange(job.backup_index, first, data,
+                                            count)
+                      : log_->AppendRun(first, data, count);
+      });
+  Status status = Status::OK();
+  for (uint64_t o = 0; o < n && status.ok(); ++o) {
+    if (!job.all_objects && !write_set_.Test(o)) continue;
+    if (crashed()) {
+      status = Status::Internal("crash injected");
+      break;
     }
-    if (status.ok()) status = session.Finish();
-    if (!status.ok()) {
-      log_->AbortSegment();
-      return status;
-    }
+    const uint8_t* src = snapshot != nullptr ? snapshot + o * object_size
+                                             : CouSource(o, staging.data());
+    status = session.Add(o, src);
   }
-  if (crashed()) {
-    log_->AbortSegment();
-    return Status::Internal("crash injected");
+  if (status.ok()) status = session.Finish();
+  if (status.ok() && crashed()) status = Status::Internal("crash injected");
+  if (!status.ok()) {
+    if (!backup) log_->AbortSegment();
+    return status;
+  }
+  if (backup) {
+    const uint32_t state_crc =
+        config_.checksum_state && snapshot != nullptr && job.all_objects
+            ? Crc32(snapshot, state_.buffer_bytes())
+            : 0;
+    return backup_->FinishCheckpoint(job.backup_index, job.seq,
+                                     job.consistent_ticks, state_crc);
   }
   TP_RETURN_NOT_OK(log_->CommitSegment());
-  if (job.new_generation) {
-    TP_RETURN_NOT_OK(log_->DropGenerationsBefore(job.log_gen));
-  }
-  return ArchiveCompletedCheckpoint(job);
+  return job.new_generation ? log_->DropGenerationsBefore(job.log_gen)
+                            : Status::OK();
 }
 
 Status Engine::ArchiveCompletedCheckpoint(const Job& job) {

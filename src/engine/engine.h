@@ -246,9 +246,6 @@ class Engine {
     return dirty_[0].CumulativeMarks();
   }
 
-  /// Path of the logical log under `dir`.
-  static std::string LogicalLogPath(const std::string& dir);
-
   /// The shard's history handle, or null when retention is off. Same
   /// cross-thread rules as metrics(): other threads may touch it only with
   /// the engine quiesced.
@@ -299,6 +296,13 @@ class Engine {
 
   void WriterMain();
   Status ExecuteJob(const Job& job);
+  /// The one checkpoint write path, shared by writer jobs and the resume
+  /// bootstrap: gathers the objects `job` covers through a
+  /// CheckpointWriteSession into its store and commits them. Objects are
+  /// read from `snapshot` (a full-state-sized buffer: the eager copy or
+  /// the bootstrap's state), or, when null, under the copy-on-update
+  /// protocol (CouSource).
+  Status WriteCheckpoint(const Job& job, const uint8_t* snapshot);
   /// Retention only: reads the just-committed durable image back out of
   /// the store and records it as a history generation. Runs on the writer
   /// thread right after the checkpoint's commit point, so it is uniform

@@ -36,15 +36,15 @@ StatusOr<RecoveryResult> RecoverImpl(const EngineConfig& config,
   out->Clear();
 
   // Phase 1: restore the newest complete checkpoint image within the
-  // bound. The default Open replays (then discards) any sealed batch a
-  // crash left in the doublewrite region BEFORE the images are inspected
-  // -- that replay only ever touches an image whose header was already
-  // invalidated, so the sibling this phase restores from is unaffected.
+  // bound. The backup store is opened read-only: recovery only reads, and
+  // an image torn mid-checkpoint still carries the invalidated header
+  // BeginCheckpoint made durable, so it is never picked over its sibling.
   const auto restore_start = Clock::now();
   if (traits.disk == DiskOrganization::kDoubleBackup) {
-    TP_ASSIGN_OR_RETURN(auto store, BackupStore::Open(config.dir,
-                                                      config.layout,
-                                                      config.fsync));
+    TP_ASSIGN_OR_RETURN(
+        auto store, BackupStore::Open(config.dir, config.layout, config.fsync,
+                                      /*backend=*/nullptr,
+                                      /*writable=*/false));
     int best = -1;
     ImageInfo best_info;
     for (int index = 0; index < 2; ++index) {
@@ -78,7 +78,7 @@ StatusOr<RecoveryResult> RecoverImpl(const EngineConfig& config,
   // Phase 2: replay the logical log from the image boundary to the bound
   // (or the durable end).
   const auto replay_start = Clock::now();
-  const std::string log_path = Engine::LogicalLogPath(config.dir);
+  const std::string log_path = paths::LogicalLogPath(config.dir);
   TP_ASSIGN_OR_RETURN(
       const LogicalLog::ReplayStats stats,
       LogicalLog::Replay(log_path, result.image_consistent_ticks, up_to_tick,
@@ -174,7 +174,7 @@ StatusOr<RecoveryResult> RecoverToHistoricTick(const EngineConfig& config,
     sources.push_back(paths::HistoryDir(config.dir) + "/" +
                       paths::HistorySegmentFileName(seg.id));
   }
-  sources.push_back(Engine::LogicalLogPath(config.dir));
+  sources.push_back(paths::LogicalLogPath(config.dir));
   for (const std::string& source : sources) {
     if (!FileExists(source)) continue;
     TP_ASSIGN_OR_RETURN(const LogicalLog::ReplayStats stats,

@@ -1,7 +1,7 @@
 // Pluggable write backends for the checkpoint pipeline (ROADMAP item 1).
 //
 // The checkpoint stores used to push every byte through a buffered
-// FileWriter on whichever thread happened to flush; the staged pipeline
+// FileWriter on whichever thread happened to flush; the checkpoint pipeline
 // instead submits positional writes to an IoBackend and waits for them at
 // explicit barriers, so the same store code runs synchronously (pwrite on
 // the submitting thread -- the crash-sweep baseline) or asynchronously

@@ -3,12 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <filesystem>
 
-#include "engine/doublewrite.h"
 #include "engine/logical_log.h"
 #include "engine/paths.h"
+#include "util/io_backend.h"
 
 namespace tickpoint {
 namespace {
@@ -19,10 +18,12 @@ constexpr uint64_t kBackupDataOffset = 512;
 class StoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("tp_store_" + std::string(::testing::UnitTest::GetInstance()
-                                           ->current_test_info()
-                                           ->name())))
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    for (auto& c : name) {
+      if (c == '/') c = '_';
+    }
+    dir_ = (std::filesystem::temp_directory_path() / ("tp_store_" + name))
                .string();
     std::filesystem::remove_all(dir_);
     layout_ = StateLayout::Small(256, 10);  // 20 objects
@@ -39,8 +40,7 @@ class StoreTest : public ::testing::Test {
     return table;
   }
 
-  // Writes `state` as a full valid checkpoint of image `index` via the
-  // unstaged path.
+  // Writes `state` as a full valid checkpoint of image `index`.
   void WriteFullImage(BackupStore& store, int index, StateTable& state,
                       uint64_t seq, uint64_t tick) {
     ASSERT_TRUE(store.BeginCheckpoint(index).ok());
@@ -162,66 +162,50 @@ TEST_F(StoreTest, BackupStateCrcDetectsBitRot) {
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
 
-TEST_F(StoreTest, BackupStagedCheckpointRoundTrip) {
-  auto store_or = BackupStore::Open(dir_, layout_, false);
-  ASSERT_TRUE(store_or.ok());
-  auto& store = *store_or.value();
+class BackupWriteRangeTest
+    : public StoreTest,
+      public ::testing::WithParamInterface<IoBackendKind> {};
+
+TEST_P(BackupWriteRangeTest, RoundTripNeverTouchesSibling) {
   StateTable state = MakeState(11);
-  const uint64_t half = layout_.num_objects() / 2;
-
-  ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-  ASSERT_TRUE(store.StageRun(0, 0, state.ObjectData(0), half).ok());
-  ASSERT_TRUE(
-      store.StageRun(0, half, state.ObjectData(half),
-                     layout_.num_objects() - half)
-          .ok());
-  ASSERT_TRUE(store.SealAndApplyStaged(0).ok());
-  ASSERT_TRUE(store.FinishCheckpoint(0, 5, 50, state.Digest()).ok());
-
-  auto info = store.Inspect(0);
-  ASSERT_TRUE(info.ok());
-  EXPECT_TRUE(info->valid);
-  EXPECT_EQ(info->seq, 5u);
-  StateTable restored(layout_);
-  ASSERT_TRUE(store.ReadAll(0, &restored).ok());
-  EXPECT_TRUE(restored.ContentEquals(state));
-}
-
-TEST_F(StoreTest, BackupTornStageNeverCorruptsSibling) {
-  StateTable old0 = MakeState(12);
   StateTable old1 = MakeState(13);
   StateTable next = MakeState(14);
+  const uint64_t half = layout_.num_objects() / 2;
+  std::string sibling_before;
   {
-    auto store_or = BackupStore::Open(dir_, layout_, false);
+    auto backend = IoBackend::Create(GetParam());
+    auto store_or = BackupStore::Open(dir_, layout_, false, backend.get());
     ASSERT_TRUE(store_or.ok());
     auto& store = *store_or.value();
-    WriteFullImage(store, 0, old0, 1, 10);
-    WriteFullImage(store, 1, old1, 2, 20);
+    // Runs submitted through the backend land in place; only the header
+    // FinishCheckpoint writes after them makes the image valid.
+    ASSERT_TRUE(store.BeginCheckpoint(0).ok());
+    ASSERT_TRUE(store.WriteRange(0, 0, state.ObjectData(0), half).ok());
+    ASSERT_TRUE(store.WriteRange(0, half, state.ObjectData(half),
+                                 layout_.num_objects() - half)
+                    .ok());
+    ASSERT_TRUE(store.FinishCheckpoint(0, 5, 50, state.Digest()).ok());
+    auto info = store.Inspect(0);
+    ASSERT_TRUE(info.ok());
+    EXPECT_TRUE(info->valid);
+    EXPECT_EQ(info->seq, 5u);
+    StateTable restored(layout_);
+    ASSERT_TRUE(store.ReadAll(0, &restored).ok());
+    EXPECT_TRUE(restored.ContentEquals(state));
 
-    // Crash mid-stage: the doublewrite region holds one unsealed chunk.
-    store.SetStageCrashPointForTest(
-        BackupStore::StageCrashPoint::kAfterFirstStage);
-    ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-    const Status crash =
-        store.StageRun(0, 0, next.data(), layout_.num_objects());
-    ASSERT_FALSE(crash.ok());
+    WriteFullImage(store, 1, old1, 6, 60);
+    sibling_before = ImageDataBytes(1);
+    // Crash mid-checkpoint of image 0: half its objects landed, no finish.
+    ASSERT_TRUE(store.BeginCheckpoint(0).ok());
+    ASSERT_TRUE(store.WriteRange(0, 0, next.ObjectData(0), half).ok());
+    ASSERT_TRUE(backend->Drain().ok());
   }
-  // Tear the chunk's payload too (a real torn write would cut mid-sector):
-  // recovery must discard it, not apply garbage.
-  const std::string dw_path = paths::DoublewritePath(dir_);
-  std::string dw_bytes;
-  ASSERT_TRUE(ReadFileToString(dw_path, &dw_bytes).ok());
-  ASSERT_GT(dw_bytes.size(), 100u);
-  dw_bytes.resize(dw_bytes.size() - 100);
-  ASSERT_TRUE(WriteStringToFile(dw_path, dw_bytes).ok());
 
-  const std::string sibling_before = ImageDataBytes(1);
   auto reopened_or = BackupStore::Open(dir_, layout_, false);
   ASSERT_TRUE(reopened_or.ok());
   auto& reopened = *reopened_or.value();
-
-  // The target image was invalidated before any staging, so nothing
-  // recoverable was at risk; the sibling is byte-identical.
+  // The target was invalidated before any data write, so the torn image
+  // is never eligible; the sibling is byte-identical and restores.
   auto info0 = reopened.Inspect(0);
   ASSERT_TRUE(info0.ok());
   EXPECT_FALSE(info0->valid);
@@ -229,116 +213,55 @@ TEST_F(StoreTest, BackupTornStageNeverCorruptsSibling) {
   StateTable restored(layout_);
   ASSERT_TRUE(reopened.ReadAll(1, &restored).ok());
   EXPECT_TRUE(restored.ContentEquals(old1));
-  // The torn batch was discarded: the region is empty again.
-  auto chunks = DoublewriteRegion::Scan(dw_path);
-  ASSERT_TRUE(chunks.ok());
-  EXPECT_TRUE(chunks.value().empty());
 }
 
-TEST_F(StoreTest, BackupSealedBatchReplaysOnReopen) {
-  StateTable old_state = MakeState(15);
-  StateTable next = MakeState(16);
-  const uint64_t half = layout_.num_objects() / 2;
+INSTANTIATE_TEST_SUITE_P(
+    BothIoBackends, BackupWriteRangeTest,
+    ::testing::Values(IoBackendKind::kSync, IoBackendKind::kAsync),
+    [](const ::testing::TestParamInfo<IoBackendKind>& info) {
+      return std::string(IoBackendKindName(info.param));
+    });
+
+TEST_F(StoreTest, BackupReadOnlyOpenChangesNothing) {
+  const std::string leftover = dir_ + "/" + paths::DoublewriteFileName();
+  {
+    // A missing directory reads as two invalid images and is not created.
+    auto store_or = BackupStore::Open(dir_, layout_, false, nullptr,
+                                      /*writable=*/false);
+    ASSERT_TRUE(store_or.ok());
+    for (int i = 0; i < 2; ++i) {
+      auto info = store_or.value()->Inspect(i);
+      ASSERT_TRUE(info.ok());
+      EXPECT_FALSE(info->valid);
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir_));
+  }
+  StateTable state = MakeState(12);
   {
     auto store_or = BackupStore::Open(dir_, layout_, false);
     ASSERT_TRUE(store_or.ok());
-    auto& store = *store_or.value();
-    WriteFullImage(store, 0, old_state, 1, 10);
-    store.SetStageCrashPointForTest(BackupStore::StageCrashPoint::kAfterSeal);
-    ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-    ASSERT_TRUE(store.StageRun(0, 0, next.ObjectData(0), half).ok());
-    ASSERT_TRUE(
-        store.StageRun(0, half, next.ObjectData(half),
-                       layout_.num_objects() - half)
-            .ok());
-    const Status crash = store.SealAndApplyStaged(0);
-    ASSERT_FALSE(crash.ok());
+    WriteFullImage(*store_or.value(), 0, state, 1, 10);
   }
-  // The crash hit after the seal fsync but before any in-place write: the
-  // image still holds the old bytes, the region the whole new batch.
-  const uint64_t data_size = layout_.num_objects() * layout_.object_size;
-  EXPECT_EQ(std::memcmp(ImageDataBytes(0).data(), old_state.data(),
-                        data_size),
-            0);
-
-  auto reopened_or = BackupStore::Open(dir_, layout_, false);
-  ASSERT_TRUE(reopened_or.ok());
-  // Reopen replayed the sealed batch into the image, then discarded it.
-  EXPECT_EQ(std::memcmp(ImageDataBytes(0).data(), next.data(), data_size), 0);
-  auto chunks = DoublewriteRegion::Scan(paths::DoublewritePath(dir_));
-  ASSERT_TRUE(chunks.ok());
-  EXPECT_TRUE(chunks.value().empty());
-}
-
-TEST_F(StoreTest, BackupTornInPlaceApplyRepairedByReplay) {
-  StateTable old_state = MakeState(17);
-  StateTable next = MakeState(18);
-  const uint64_t half = layout_.num_objects() / 2;
+  // A doublewrite region an older build left behind.
+  ASSERT_TRUE(WriteStringToFile(leftover, std::string(4096, 'x')).ok());
   {
-    auto store_or = BackupStore::Open(dir_, layout_, false);
+    auto store_or = BackupStore::Open(dir_, layout_, false, nullptr,
+                                      /*writable=*/false);
     ASSERT_TRUE(store_or.ok());
     auto& store = *store_or.value();
-    WriteFullImage(store, 0, old_state, 1, 10);
-    store.SetStageCrashPointForTest(
-        BackupStore::StageCrashPoint::kAfterFirstApply);
-    ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-    ASSERT_TRUE(store.StageRun(0, 0, next.ObjectData(0), half).ok());
-    ASSERT_TRUE(
-        store.StageRun(0, half, next.ObjectData(half),
-                       layout_.num_objects() - half)
-            .ok());
-    // Crash mid-apply: the first run landed in place, the second did not.
-    const Status crash = store.SealAndApplyStaged(0);
-    ASSERT_FALSE(crash.ok());
+    EXPECT_EQ(store.BeginCheckpoint(0).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(store.WriteRange(0, 0, state.data(), 1).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(store.FinishCheckpoint(0, 2, 20, 0).code(),
+              StatusCode::kFailedPrecondition);
+    StateTable restored(layout_);
+    ASSERT_TRUE(store.ReadAll(0, &restored).ok());
+    EXPECT_TRUE(restored.ContentEquals(state));
   }
-  const uint64_t data_size = layout_.num_objects() * layout_.object_size;
-  // Reopen replays the whole sealed batch: the torn in-place write is
-  // repaired deterministically, every object carrying the new bytes.
-  auto reopened_or = BackupStore::Open(dir_, layout_, false);
-  ASSERT_TRUE(reopened_or.ok());
-  EXPECT_EQ(std::memcmp(ImageDataBytes(0).data(), next.data(), data_size), 0);
-}
-
-TEST_F(StoreTest, DoublewriteReplayIsIdempotent) {
-  StateTable next = MakeState(19);
-  const uint64_t half = layout_.num_objects() / 2;
-  {
-    auto store_or = BackupStore::Open(dir_, layout_, false);
-    ASSERT_TRUE(store_or.ok());
-    auto& store = *store_or.value();
-    StateTable old_state = MakeState(20);
-    WriteFullImage(store, 0, old_state, 1, 10);
-    store.SetStageCrashPointForTest(BackupStore::StageCrashPoint::kAfterSeal);
-    ASSERT_TRUE(store.BeginStagedCheckpoint(0).ok());
-    ASSERT_TRUE(store.StageRun(0, 0, next.ObjectData(0), half).ok());
-    ASSERT_TRUE(
-        store.StageRun(0, half, next.ObjectData(half),
-                       layout_.num_objects() - half)
-            .ok());
-    ASSERT_FALSE(store.SealAndApplyStaged(0).ok());
-  }
-  // A replay that itself crashes after one chunk leaves the region intact;
-  // the next full replay starts over and still converges on the batch.
-  const std::string dw_path = paths::DoublewritePath(dir_);
-  const std::string image_paths[2] = {
-      dir_ + "/" + BackupStore::ImageFileName(0),
-      dir_ + "/" + BackupStore::ImageFileName(1)};
-  auto partial = DoublewriteRegion::Replay(dw_path, image_paths, 2,
-                                           /*fsync_enabled=*/false,
-                                           /*apply_at_most=*/1);
-  ASSERT_TRUE(partial.ok());
-  EXPECT_EQ(partial.value(), 1u);
-  auto mid_chunks = DoublewriteRegion::Scan(dw_path);
-  ASSERT_TRUE(mid_chunks.ok());
-  EXPECT_EQ(mid_chunks.value().size(), 2u);  // region untouched
-
-  auto reopened_or = BackupStore::Open(dir_, layout_, false);
-  ASSERT_TRUE(reopened_or.ok());
-  const uint64_t data_size = layout_.num_objects() * layout_.object_size;
-  EXPECT_EQ(std::memcmp(ImageDataBytes(0).data(), next.data(), data_size), 0);
-  auto final_chunks = DoublewriteRegion::Scan(dw_path);
-  ASSERT_TRUE(final_chunks.ok());
-  EXPECT_TRUE(final_chunks.value().empty());
+  EXPECT_TRUE(FileExists(leftover));
+  ASSERT_TRUE(BackupStore::Open(dir_, layout_, false).ok());
+  EXPECT_FALSE(FileExists(leftover));
 }
 
 TEST_F(StoreTest, LogFullFlushAndIncrementsRestore) {
@@ -350,20 +273,18 @@ TEST_F(StoreTest, LogFullFlushAndIncrementsRestore) {
   // Generation 0: full flush of the pristine state.
   ASSERT_TRUE(store.BeginGeneration(0).ok());
   ASSERT_TRUE(store.BeginSegment(0, 1, true, layout_.num_objects()).ok());
-  for (ObjectId o = 0; o < layout_.num_objects(); ++o) {
-    ASSERT_TRUE(store.AppendObject(o, state.ObjectData(o)).ok());
-  }
+  ASSERT_TRUE(store.AppendRun(0, state.data(), layout_.num_objects()).ok());
   ASSERT_TRUE(store.CommitSegment().ok());
 
   // Two incremental segments with object changes.
   for (CellId c = 0; c < 128; ++c) state.WriteCell(c, 111);
   ASSERT_TRUE(store.BeginSegment(1, 2, false, 1).ok());
-  ASSERT_TRUE(store.AppendObject(0, state.ObjectData(0)).ok());
+  ASSERT_TRUE(store.AppendRun(0, state.ObjectData(0), 1).ok());
   ASSERT_TRUE(store.CommitSegment().ok());
 
   for (CellId c = 1280; c < 1408; ++c) state.WriteCell(c, 222);
   ASSERT_TRUE(store.BeginSegment(2, 3, false, 1).ok());
-  ASSERT_TRUE(store.AppendObject(10, state.ObjectData(10)).ok());
+  ASSERT_TRUE(store.AppendRun(10, state.ObjectData(10), 1).ok());
   ASSERT_TRUE(store.CommitSegment().ok());
 
   StateTable restored(layout_);
@@ -381,16 +302,14 @@ TEST_F(StoreTest, LogTornTailIgnored) {
   StateTable state = MakeState(7);
   ASSERT_TRUE(store.BeginGeneration(0).ok());
   ASSERT_TRUE(store.BeginSegment(0, 1, true, layout_.num_objects()).ok());
-  for (ObjectId o = 0; o < layout_.num_objects(); ++o) {
-    ASSERT_TRUE(store.AppendObject(o, state.ObjectData(o)).ok());
-  }
+  ASSERT_TRUE(store.AppendRun(0, state.data(), layout_.num_objects()).ok());
   ASSERT_TRUE(store.CommitSegment().ok());
   const StateTable committed = MakeState(7);
 
   // Torn segment: declared 3 objects, only 1 appended, never committed.
   state.WriteCell(0, -99);
   ASSERT_TRUE(store.BeginSegment(1, 2, false, 3).ok());
-  ASSERT_TRUE(store.AppendObject(0, state.ObjectData(0)).ok());
+  ASSERT_TRUE(store.AppendRun(0, state.ObjectData(0), 1).ok());
   store.AbortSegment();
 
   StateTable restored(layout_);
@@ -407,15 +326,14 @@ TEST_F(StoreTest, LogFallsBackToOlderGeneration) {
   StateTable gen0_state = MakeState(8);
   ASSERT_TRUE(store.BeginGeneration(0).ok());
   ASSERT_TRUE(store.BeginSegment(0, 1, true, layout_.num_objects()).ok());
-  for (ObjectId o = 0; o < layout_.num_objects(); ++o) {
-    ASSERT_TRUE(store.AppendObject(o, gen0_state.ObjectData(o)).ok());
-  }
+  ASSERT_TRUE(
+      store.AppendRun(0, gen0_state.data(), layout_.num_objects()).ok());
   ASSERT_TRUE(store.CommitSegment().ok());
 
   // Generation 1's full flush tears mid-way (crash before commit).
   ASSERT_TRUE(store.BeginGeneration(1).ok());
   ASSERT_TRUE(store.BeginSegment(1, 9, true, layout_.num_objects()).ok());
-  ASSERT_TRUE(store.AppendObject(0, gen0_state.ObjectData(0)).ok());
+  ASSERT_TRUE(store.AppendRun(0, gen0_state.ObjectData(0), 1).ok());
   store.AbortSegment();
 
   StateTable restored(layout_);
@@ -433,9 +351,7 @@ TEST_F(StoreTest, LogReopenDiscoversGenerations) {
     StateTable state = MakeState(9);
     ASSERT_TRUE(store.BeginGeneration(3).ok());
     ASSERT_TRUE(store.BeginSegment(12, 30, true, layout_.num_objects()).ok());
-    for (ObjectId o = 0; o < layout_.num_objects(); ++o) {
-      ASSERT_TRUE(store.AppendObject(o, state.ObjectData(o)).ok());
-    }
+    ASSERT_TRUE(store.AppendRun(0, state.data(), layout_.num_objects()).ok());
     ASSERT_TRUE(store.CommitSegment().ok());
   }
   // A cold open (as recovery does) must find generation 3.
@@ -454,19 +370,21 @@ TEST_F(StoreTest, LogDropGenerations) {
   ASSERT_TRUE(store_or.ok());
   auto& store = *store_or.value();
   StateTable state = MakeState(10);
-  for (uint64_t gen = 0; gen < 3; ++gen) {
+  for (uint64_t gen : {0, 1, 2, 20}) {
     ASSERT_TRUE(store.BeginGeneration(gen).ok());
     ASSERT_TRUE(
         store.BeginSegment(gen, gen + 1, true, layout_.num_objects()).ok());
-    for (ObjectId o = 0; o < layout_.num_objects(); ++o) {
-      ASSERT_TRUE(store.AppendObject(o, state.ObjectData(o)).ok());
-    }
+    ASSERT_TRUE(store.AppendRun(0, state.data(), layout_.num_objects()).ok());
     ASSERT_TRUE(store.CommitSegment().ok());
   }
   ASSERT_TRUE(store.DropGenerationsBefore(2).ok());
   EXPECT_FALSE(FileExists(dir_ + "/log-0.img"));
   EXPECT_FALSE(FileExists(dir_ + "/log-1.img"));
   EXPECT_TRUE(FileExists(dir_ + "/log-2.img"));
+  // Every older generation goes, however far behind it lies.
+  ASSERT_TRUE(store.DropGenerationsBefore(20).ok());
+  EXPECT_FALSE(FileExists(dir_ + "/log-2.img"));
+  EXPECT_TRUE(FileExists(dir_ + "/log-20.img"));
 }
 
 TEST_F(StoreTest, LogicalLogRoundTrip) {

@@ -7,6 +7,7 @@
 
 #include "engine/engine.h"
 #include "engine/mutator.h"
+#include "engine/paths.h"
 #include "engine/recovery.h"
 #include "game/world.h"
 #include "trace/zipf_source.h"
@@ -263,7 +264,7 @@ TEST_F(DurabilityTest, HardCrashBetweenGroupCommitsRecoversLastSyncedTick) {
 
   // The on-disk log carries exactly the synced prefix...
   auto durable_or =
-      LogicalLog::CountDurableTicks(Engine::LogicalLogPath(dir_));
+      LogicalLog::CountDurableTicks(paths::LogicalLogPath(dir_));
   ASSERT_TRUE(durable_or.ok());
   EXPECT_EQ(durable_or.value(), kSyncedTicks);
 
@@ -377,6 +378,64 @@ TEST_F(DurabilityTest, FallsBackWhenNewestBackupCorrupted) {
   StateTable recovered(layout);
   auto result = Recover(config, &recovered);
   ASSERT_TRUE(result.ok());
+  EXPECT_LT(result->image_seq, newest_seq);
+  EXPECT_EQ(recovered.Digest(), lost);
+}
+
+TEST_F(DurabilityTest, TornInPlaceWriteFallsBackToSibling) {
+  // A crash mid-way through an in-place checkpoint: the newest image's
+  // header is invalidated and half its objects carry bytes of a checkpoint
+  // that never finished. No repair is needed -- the invalid header keeps
+  // the torn image out of recovery, which lands on the sibling and replays
+  // the logical log to the lost state.
+  const StateLayout layout = StateLayout::Small(2048, 10);
+  EngineConfig config;
+  config.layout = layout;
+  config.algorithm = AlgorithmKind::kCopyOnUpdate;
+  config.dir = dir_;
+  config.fsync = false;
+
+  ZipfTraceConfig trace;
+  trace.layout = layout;
+  trace.num_ticks = 40;
+  trace.updates_per_tick = 200;
+  trace.theta = 0.7;
+
+  uint32_t lost = 0;
+  uint64_t newest_seq = 0;
+  {
+    auto engine_or = Engine::Open(config);
+    ASSERT_TRUE(engine_or.ok());
+    ZipfUpdateSource source(trace);
+    ASSERT_TRUE(RunWorkload(engine_or.value().get(), &source,
+                            MutatorOptions{})
+                    .ok());
+    ASSERT_TRUE(engine_or.value()->Shutdown().ok());
+    lost = engine_or.value()->state().Digest();
+    newest_seq = engine_or.value()->metrics().checkpoints.back().seq;
+  }
+
+  {
+    auto store_or = BackupStore::Open(dir_, layout, false);
+    ASSERT_TRUE(store_or.ok());
+    BackupStore& store = *store_or.value();
+    int newest = -1;
+    for (int i = 0; i < 2; ++i) {
+      auto info = store.Inspect(i);
+      ASSERT_TRUE(info.ok());
+      if (info->valid && info->seq == newest_seq) newest = i;
+    }
+    ASSERT_GE(newest, 0);
+    const uint64_t half = layout.num_objects() / 2;
+    const std::vector<uint8_t> other(half * layout.object_size, 0xA5);
+    ASSERT_TRUE(store.BeginCheckpoint(newest).ok());
+    ASSERT_TRUE(store.WriteRange(newest, 0, other.data(), half).ok());
+  }
+
+  StateTable recovered(layout);
+  auto result = Recover(config, &recovered);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->restored_from_checkpoint);
   EXPECT_LT(result->image_seq, newest_seq);
   EXPECT_EQ(recovered.Digest(), lost);
 }
@@ -553,7 +612,7 @@ TEST_F(DurabilityTest, DeathInsideOpenResumedAfterBootstrapStaysRecoverable) {
     crash_tick = RunUntilCheckpoints(engine_or.value().get(), 3, 150);
     ASSERT_TRUE(engine_or.value()->SimulateCrash().ok());
   }
-  const std::string log_path = Engine::LogicalLogPath(dir_);
+  const std::string log_path = paths::LogicalLogPath(dir_);
   const std::string saved_log = dir_ + "/logical.log.pre-resume";
   std::error_code ec;
   std::filesystem::copy_file(log_path, saved_log, ec);

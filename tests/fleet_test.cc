@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/checkpoint_store.h"
 #include "engine/mutator.h"
 #include "engine/paths.h"
 #include "engine/recovery.h"
@@ -349,6 +350,67 @@ TEST_F(FleetTest, CutRecoverySurvivesTheMigrationEpochBoundary) {
   EXPECT_EQ(resumed_or.value()->epoch(), 1u);
   EXPECT_EQ(resumed_or.value()->current_tick(), cut_tick + 1);
   ASSERT_TRUE(resumed_or.value()->Shutdown().ok());
+}
+
+TEST_F(FleetTest, LeftoverDoublewriteRegionChangesNothingAndOpenDeletesIt) {
+  // Older builds staged every double-backup checkpoint in a doublewrite
+  // region (doublewrite.img) before writing it in place. A batch there
+  // only ever targeted an image whose header was already invalidated, so
+  // a leftover region must not change what recovery returns. A read-only
+  // store open leaves the file alone; reopening the fleet deletes it.
+  auto fleet_or = Fleet::Create(dir_, Config(2));
+  ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+  Fleet& fleet = *fleet_or.value();
+  std::vector<StateTable> reference;
+  RunTicks(&fleet, 3, &reference);
+  auto cut_or = fleet.RequestConsistentCut();
+  ASSERT_TRUE(cut_or.ok());
+  const uint64_t cut_tick = cut_or.value();
+  RunTicks(&fleet, cut_tick + 1 - fleet.current_tick(), &reference);
+  const std::vector<StateTable> reference_at_cut = SnapshotTables(reference);
+  ASSERT_TRUE(fleet.CommitConsistentCut().ok());
+  RunTicks(&fleet, 6, &reference);
+  ASSERT_TRUE(fleet.SimulateCrash().ok());
+
+  const FleetManifest manifest = fleet.manifest();
+  std::vector<std::string> leftovers;
+  for (uint32_t p = 0; p < 2; ++p) {
+    leftovers.push_back(manifest.PartitionDir(dir_, p) + "/" +
+                        paths::DoublewriteFileName());
+    ASSERT_TRUE(
+        WriteStringToFile(leftovers.back(), std::string(8192, '\x5a')).ok());
+  }
+
+  auto latest_or = Fleet::Recover(dir_);
+  ASSERT_TRUE(latest_or.ok()) << latest_or.status().ToString();
+  auto cut_landing_or = Fleet::RecoverToCut(dir_);
+  ASSERT_TRUE(cut_landing_or.ok()) << cut_landing_or.status().ToString();
+  EXPECT_TRUE(cut_landing_or.value().at_cut());
+  for (uint32_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(latest_or.value().tables()[p].Digest(), reference[p].Digest())
+        << "partition " << p;
+    EXPECT_EQ(cut_landing_or.value().tables()[p].Digest(),
+              reference_at_cut[p].Digest())
+        << "partition " << p;
+    auto store_or = BackupStore::Open(manifest.PartitionDir(dir_, p),
+                                      manifest.layout, false, nullptr,
+                                      /*writable=*/false);
+    ASSERT_TRUE(store_or.ok());
+    EXPECT_TRUE(FileExists(leftovers[p])) << "partition " << p;
+  }
+
+  auto reopened_or = Fleet::Open(dir_);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  for (uint32_t p = 0; p < 2; ++p) {
+    EXPECT_FALSE(FileExists(leftovers[p])) << "partition " << p;
+  }
+  ASSERT_TRUE(reopened_or.value()->WaitForIdle().ok());
+  for (uint32_t p = 0; p < 2; ++p) {
+    EXPECT_TRUE(reopened_or.value()->engine().shard(p).state().ContentEquals(
+        reference[p]))
+        << "partition " << p;
+  }
+  ASSERT_TRUE(reopened_or.value()->Shutdown().ok());
 }
 
 // ---- The acceptance sweep: crash at EVERY step across a migration ----

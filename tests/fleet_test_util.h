@@ -1,6 +1,7 @@
 // Helpers shared by the fleet test suites (sharded_engine_test,
-// fleet_resume_test): deep-copying reference fleets and mirroring the
-// deterministic WorkloadCell/WorkloadValue workload without an engine.
+// fleet_resume_test, rebalancer_test): deep-copying reference fleets,
+// mirroring the deterministic WorkloadCell/WorkloadValue workload without
+// an engine, and reaping in-flight checkpoints.
 #ifndef TICKPOINT_TESTS_FLEET_TEST_UTIL_H_
 #define TICKPOINT_TESTS_FLEET_TEST_UTIL_H_
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "engine/mutator.h"
+#include "engine/sharded_engine.h"
 #include "engine/state_table.h"
 
 namespace tickpoint {
@@ -38,6 +40,19 @@ inline void MirrorWorkloadTick(uint64_t tick, uint64_t updates_per_tick,
       table.WriteCell(cell, WorkloadValue(tick, cell, i));
     }
   }
+}
+
+/// Quiesces the fleet and completes every shard's in-flight checkpoint
+/// (what CommitConsistentCut does for an idle shard). Called before a
+/// periodic start, it makes the start happen at exactly its scheduled tick
+/// instead of waiting behind a flush the writer thread has not finished --
+/// so a test's checkpoint count no longer depends on writer speed.
+inline Status ReapCheckpoints(ShardedEngine* engine) {
+  TP_RETURN_NOT_OK(engine->WaitForIdle());
+  for (uint32_t i = 0; i < engine->num_shards(); ++i) {
+    TP_RETURN_NOT_OK(engine->shard(i).CompletePendingCheckpoint());
+  }
+  return Status::OK();
 }
 
 }  // namespace tickpoint

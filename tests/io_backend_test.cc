@@ -1,6 +1,6 @@
 // Tests for the pluggable checkpoint write backends: both kinds must
 // honor the ticket-frontier, sticky-error, and bounded-depth contracts
-// the staged pipeline is built on.
+// the checkpoint pipeline is built on.
 #include "util/io_backend.h"
 
 #include <gtest/gtest.h>

@@ -418,16 +418,23 @@ TEST_F(RebalancerTest, MigrationResetsTheSchedulerEwmaState) {
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   Fleet& fleet = *fleet_or.value();
   std::vector<StateTable> reference;
-  RunSkewedTicks(&fleet, 12, &reference, /*hot=*/1);
+  // Every checkpoint is reaped before the next tick, so it is observed at
+  // that tick's end and releases its budget slot on schedule: the EWMAs
+  // below do not depend on how fast the writer threads run.
+  const auto run_reaped = [&](uint64_t ticks) {
+    for (uint64_t t = 0; t < ticks; ++t) {
+      ASSERT_TRUE(ReapCheckpoints(&fleet.engine()).ok());
+      RunSkewedTicks(&fleet, 1, &reference, /*hot=*/1);
+    }
+  };
+  run_reaped(12);
   const StaggerScheduler& scheduler = fleet.engine().scheduler();
   ASSERT_GT(scheduler.EwmaWriteSeconds(0), 0.0);
   ASSERT_GT(scheduler.EwmaWriteSeconds(1), 0.0);
 
   auto cut_or = fleet.RequestConsistentCut();
   ASSERT_TRUE(cut_or.ok()) << cut_or.status().ToString();
-  while (fleet.current_tick() <= cut_or.value()) {
-    RunSkewedTicks(&fleet, 1, &reference, /*hot=*/1);
-  }
+  while (fleet.current_tick() <= cut_or.value()) run_reaped(1);
   ASSERT_TRUE(fleet.CommitConsistentCut().ok());
   ASSERT_TRUE(fleet.MigratePartition(1, 2).ok());
   EXPECT_EQ(scheduler.EwmaWriteSeconds(1), 0.0)
@@ -443,7 +450,7 @@ TEST_F(RebalancerTest, MigrationResetsTheSchedulerEwmaState) {
          "slot was never released";
 
   // The fresh slot re-learns from its own measurements.
-  RunSkewedTicks(&fleet, 12, &reference, /*hot=*/1);
+  run_reaped(12);
   EXPECT_GT(scheduler.EwmaWriteSeconds(1), 0.0);
   ASSERT_TRUE(fleet.SimulateCrash().ok());
   auto recovered_or = Fleet::Recover(dir_);

@@ -279,9 +279,13 @@ class ShardedEngineTest : public ::testing::Test {
   }
 
   /// Runs ticks [0, ticks) of the deterministic workload, mirroring every
-  /// update into the per-shard reference tables.
+  /// update into the per-shard reference tables. `reap_before_starts`
+  /// completes every in-flight checkpoint before a tick at which a
+  /// fixed-schedule start is due, so each shard checkpoints at exactly its
+  /// scheduled ticks however slow the writer threads are.
   void RunTicks(ShardedEngine* engine, uint64_t ticks,
-                std::vector<StateTable>* reference) {
+                std::vector<StateTable>* reference,
+                bool reap_before_starts = false) {
     const uint64_t num_cells = ShardLayout().num_cells();
     if (reference->empty()) {
       for (uint32_t i = 0; i < engine->num_shards(); ++i) {
@@ -290,6 +294,14 @@ class ShardedEngineTest : public ::testing::Test {
     }
     for (uint64_t t = 0; t < ticks; ++t) {
       const uint64_t tick = engine->current_tick();
+      if (reap_before_starts && tick > 0) {
+        bool start_due = false;
+        for (uint32_t i = 0; i < engine->num_shards(); ++i) {
+          start_due |=
+              engine->scheduler().NextCheckpointTick(i, tick - 1) == tick;
+        }
+        if (start_due) ASSERT_TRUE(ReapCheckpoints(engine).ok());
+      }
       engine->BeginTick();
       for (uint32_t shard = 0; shard < engine->num_shards(); ++shard) {
         for (uint64_t i = 0; i < kUpdatesPerTick; ++i) {
@@ -349,7 +361,7 @@ TEST_F(ShardedEngineTest, RunsAndShutsDownCleanly) {
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   ShardedEngine& engine = fleet_or.value()->engine();
   std::vector<StateTable> reference;
-  RunTicks(&engine, 20, &reference);
+  RunTicks(&engine, 20, &reference, /*reap_before_starts=*/true);
   ASSERT_TRUE(engine.Shutdown().ok());
   for (uint32_t i = 0; i < engine.num_shards(); ++i) {
     EXPECT_TRUE(engine.shard(i).state().ContentEquals(reference[i]))
@@ -391,7 +403,8 @@ TEST_F(ShardedEngineTest, StaggeredShardsSitAtDifferentGenerations) {
   auto fleet_or = Fleet::Create(config.shard.dir, config);
   ASSERT_TRUE(fleet_or.ok());
   std::vector<StateTable> reference;
-  RunTicks(&fleet_or.value()->engine(), 14, &reference);
+  RunTicks(&fleet_or.value()->engine(), 14, &reference,
+           /*reap_before_starts=*/true);
   ASSERT_TRUE(fleet_or.value()->SimulateCrash().ok());
 
   auto recovered_or = Fleet::Recover(config.shard.dir);
@@ -533,10 +546,9 @@ TEST_F(ShardedEngineTest, ThreadedPartialFailureHardFailsTheFleet) {
 TEST_F(ShardedEngineTest, ThreadedMatchesTheInlineFacade) {
   // Same workload, same schedule: per-shard final states must be identical
   // whether the shards run on their own mutator threads or multiplexed on
-  // the facade's, and the checkpoint cadence must agree. (Exact start
-  // ticks are NOT compared: a request is served at the first EndTick that
-  // observes the previous flush drained, which depends on real writer
-  // timing.)
+  // the facade's, and so must the checkpoints. In-flight flushes are
+  // reaped before each scheduled start, so every start is served at its
+  // scheduled tick rather than whenever the writer thread drained.
   std::vector<std::unique_ptr<Fleet>> fleets;
   for (const bool threaded : {false, true}) {
     auto config = Config(AlgorithmKind::kCopyOnUpdate, 3);
@@ -545,7 +557,8 @@ TEST_F(ShardedEngineTest, ThreadedMatchesTheInlineFacade) {
     auto fleet_or = Fleet::Create(config.shard.dir, config);
     ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
     std::vector<StateTable> reference;
-    RunTicks(&fleet_or.value()->engine(), 20, &reference);
+    RunTicks(&fleet_or.value()->engine(), 20, &reference,
+             /*reap_before_starts=*/true);
     ASSERT_TRUE(fleet_or.value()->Shutdown().ok());
     fleets.push_back(std::move(fleet_or.value()));
   }
@@ -554,15 +567,15 @@ TEST_F(ShardedEngineTest, ThreadedMatchesTheInlineFacade) {
     const Engine& threaded_shard = fleets[1]->engine().shard(i);
     EXPECT_TRUE(threaded_shard.state().ContentEquals(inline_shard.state()))
         << "shard " << i;
-    const size_t inline_count = inline_shard.metrics().checkpoints.size();
-    const size_t threaded_count =
-        threaded_shard.metrics().checkpoints.size();
-    EXPECT_GE(inline_count, 3u) << "shard " << i;
-    EXPECT_GE(threaded_count, 3u) << "shard " << i;
-    const size_t difference = inline_count > threaded_count
-                                  ? inline_count - threaded_count
-                                  : threaded_count - inline_count;
-    EXPECT_LE(difference, 1u) << "shard " << i;
+    const auto& inline_records = inline_shard.metrics().checkpoints;
+    const auto& threaded_records = threaded_shard.metrics().checkpoints;
+    EXPECT_GE(inline_records.size(), 3u) << "shard " << i;
+    ASSERT_EQ(threaded_records.size(), inline_records.size())
+        << "shard " << i;
+    for (size_t r = 0; r < inline_records.size(); ++r) {
+      EXPECT_EQ(threaded_records[r].start_tick, inline_records[r].start_tick)
+          << "shard " << i << " checkpoint " << r;
+    }
   }
 }
 

@@ -4,8 +4,7 @@
 //   tickpoint_inspect --dir /var/lib/myshard --history \
 //       [--max-generations N] [--max-retained-ticks T]
 //
-// Default mode prints the staged doublewrite region (what a reopen would
-// replay or discard), the state of both double-backup images (validity,
+// Default mode prints the state of both double-backup images (validity,
 // sequence, consistent tick), any checkpoint-log generations with their
 // segments, and the logical log's durable tick range -- everything an
 // operator needs to answer "what would this shard recover to right now?".
@@ -15,18 +14,16 @@
 // logical-log segments, the retained (restorable) tick window, and what
 // the next compaction pass would drop or rewrite under the given policy.
 //
-// Inspection is strictly read-only: the backup store is opened with
-// doublewrite replay disabled and --history only ever reads the index, so
-// pointing this tool at a crashed directory never changes what a later
-// recovery will see.
+// Inspection is strictly read-only: the backup store is opened
+// non-writable and --history only ever reads the index, so pointing this
+// tool at a crashed directory never changes what a later recovery will
+// see.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
 #include "engine/checkpoint_store.h"
 #include "engine/compactor.h"
-#include "engine/doublewrite.h"
-#include "engine/engine.h"
 #include "engine/history.h"
 #include "engine/logical_log.h"
 #include "engine/paths.h"
@@ -167,55 +164,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(layout.cols),
               static_cast<unsigned long long>(layout.object_size));
 
-  // Staged doublewrite region. Scanned directly from disk -- before and
-  // independently of any store open -- so a torn batch is shown exactly as
-  // recovery will find it.
-  const std::string dw_path = paths::DoublewritePath(dir);
-  bool any_doublewrite = false;
-  {
-    auto chunks_or = DoublewriteRegion::Scan(dw_path);
-    TP_CHECK_OK(chunks_or.status());
-    if (!chunks_or.value().empty()) {
-      any_doublewrite = true;
-      const uint64_t batch_seq = chunks_or.value().front().batch_seq;
-      TablePrinter table({"chunk", "batch #", "target image", "target offset",
-                          "bytes", "payload"});
-      size_t index = 0;
-      bool replayable = true;
-      for (const DoublewriteRegion::Chunk& chunk : chunks_or.value()) {
-        if (chunk.batch_seq != batch_seq || !chunk.payload_intact) {
-          replayable = false;
-        }
-        table.AddRow({std::to_string(index++),
-                      std::to_string(chunk.batch_seq),
-                      std::to_string(chunk.target_image),
-                      std::to_string(chunk.target_offset),
-                      std::to_string(chunk.length),
-                      chunk.payload_intact ? "intact" : "TORN"});
-      }
-      std::printf("doublewrite region (%zu staged chunks)\n",
-                  chunks_or.value().size());
-      table.Print();
-      std::printf("%s\n\n",
-                  replayable
-                      ? "reopen would replay this batch into the images, "
-                        "then discard the region."
-                      : "batch is torn mid-stage; reopen replays the intact "
-                        "prefix of the newest batch and discards the rest.");
-    } else if (FileExists(dw_path)) {
-      any_doublewrite = true;
-      std::printf("doublewrite region: empty (no staged batch)\n\n");
-    }
-  }
-
-  // Double-backup images. Opened with doublewrite replay disabled:
-  // inspection must never apply the staged batch shown above.
+  // Double-backup images.
   bool any_backup = FileExists(dir + "/backup0.img") ||
                     FileExists(dir + "/backup1.img");
   uint64_t best_tick = 0;
   if (any_backup) {
     auto store_or = BackupStore::Open(dir, layout, false, /*backend=*/nullptr,
-                                      /*replay_doublewrite=*/false);
+                                      /*writable=*/false);
     TP_CHECK_OK(store_or.status());
     TablePrinter table({"backup", "status", "checkpoint #",
                         "consistent through tick", "state CRC"});
@@ -282,7 +237,7 @@ int main(int argc, char** argv) {
   }
 
   // Logical log.
-  const std::string logical = Engine::LogicalLogPath(dir);
+  const std::string logical = paths::LogicalLogPath(dir);
   if (FileExists(logical)) {
     auto count_or = LogicalLog::CountDurableTicks(logical);
     TP_CHECK_OK(count_or.status());
@@ -292,7 +247,7 @@ int main(int argc, char** argv) {
         "recovery would restore through tick %llu from checkpoints, then "
         "replay the logical log forward.\n",
         static_cast<unsigned long long>(best_tick));
-  } else if (!any_backup && !any_log && !any_doublewrite) {
+  } else if (!any_backup && !any_log) {
     std::printf("no tickpoint artifacts found in %s\n", dir.c_str());
     return 1;
   }
