@@ -131,10 +131,10 @@ BENCHMARK(BM_SimHandleUpdate)
     ->Arg(static_cast<int>(AlgorithmKind::kCopyOnUpdate));
 
 void BM_LogicalLogAppend(benchmark::State& state) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tp_bench_logical.log")
-          .string();
-  auto log_or = LogicalLog::Create(path, /*sync_every=*/64);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "tp_bench_logical").string();
+  TP_CHECK_OK(EnsureDirectory(dir));
+  auto log_or = LogicalLog::Open(dir, 0, /*sync_every=*/64, /*fsync=*/true);
   TP_CHECK_OK(log_or.status());
   std::vector<CellUpdate> updates(state.range(0));
   for (size_t i = 0; i < updates.size(); ++i) {
@@ -145,7 +145,7 @@ void BM_LogicalLogAppend(benchmark::State& state) {
     TP_CHECK_OK(log_or.value()->AppendTick(tick++, updates));
   }
   TP_CHECK_OK(log_or.value()->Close());
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
   state.SetBytesProcessed(state.iterations() * updates.size() *
                           sizeof(CellUpdate));
 }

@@ -189,8 +189,16 @@ Status LogStore::MakeDurable(FileWriter* writer) {
 }
 
 LogStore::LogStore(std::string dir, const StateLayout& layout,
-                   bool fsync_enabled)
-    : dir_(std::move(dir)), layout_(layout), fsync_enabled_(fsync_enabled) {}
+                   bool fsync_enabled, bool writable)
+    : dir_(std::move(dir)),
+      layout_(layout),
+      fsync_enabled_(fsync_enabled),
+      writable_(writable) {}
+
+Status LogStore::CheckWritable() const {
+  if (writable_) return Status::OK();
+  return Status::FailedPrecondition("log store opened read-only");
+}
 
 bool LogStore::ParseGenerationFileName(const std::string& name,
                                        uint64_t* gen) {
@@ -199,11 +207,13 @@ bool LogStore::ParseGenerationFileName(const std::string& name,
 
 StatusOr<std::unique_ptr<LogStore>> LogStore::Open(const std::string& dir,
                                                    const StateLayout& layout,
-                                                   bool fsync_enabled) {
-  TP_RETURN_NOT_OK(EnsureDirectory(dir));
-  std::unique_ptr<LogStore> store(new LogStore(dir, layout, fsync_enabled));
+                                                   bool fsync_enabled,
+                                                   bool writable) {
+  if (writable) TP_RETURN_NOT_OK(EnsureDirectory(dir));
+  std::unique_ptr<LogStore> store(
+      new LogStore(dir, layout, fsync_enabled, writable));
   // Discover generations left by a previous process (recovery reopens the
-  // store cold).
+  // store cold). A missing directory holds none.
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     uint64_t gen = 0;
@@ -211,7 +221,6 @@ StatusOr<std::unique_ptr<LogStore>> LogStore::Open(const std::string& dir,
       continue;
     }
     store->current_gen_ = std::max(store->current_gen_, gen);
-    store->found_disk_generations_ = true;
   }
   return store;
 }
@@ -221,6 +230,7 @@ std::string LogStore::GenPath(uint64_t gen) const {
 }
 
 Status LogStore::BeginGeneration(uint64_t gen) {
+  TP_RETURN_NOT_OK(CheckWritable());
   TP_CHECK(!segment_open_);
   if (writer_.is_open()) {
     TP_RETURN_NOT_OK(writer_.Close());
@@ -237,6 +247,7 @@ Status LogStore::BeginGeneration(uint64_t gen) {
 
 Status LogStore::BeginSegment(uint64_t seq, uint64_t consistent_tick,
                               bool full_flush, uint64_t object_count) {
+  TP_RETURN_NOT_OK(CheckWritable());
   TP_CHECK(gen_open_ && !segment_open_);
   SegmentHeader header;
   header.magic = kSegmentMagic;
@@ -288,6 +299,7 @@ Status LogStore::CommitSegment() {
 void LogStore::AbortSegment() { segment_open_ = false; }
 
 Status LogStore::DropGenerationsBefore(uint64_t gen) {
+  TP_RETURN_NOT_OK(CheckWritable());
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     uint64_t g = 0;
@@ -308,35 +320,46 @@ StatusOr<std::vector<SegmentInfo>> LogStore::ListSegments(uint64_t gen) {
   return ScanGeneration(gen, nullptr);
 }
 
-StatusOr<ImageInfo> LogStore::Restore(StateTable* out,
-                                      uint64_t max_consistent_tick) {
-  TP_CHECK(out->layout().num_objects() == layout_.num_objects());
-  // Find the newest generation with an intact full flush no newer than the
-  // bound.
+StatusOr<std::vector<SegmentInfo>> LogStore::RestorableSegments(
+    uint64_t max_consistent_tick, uint64_t* gen_out) {
+  // The newest generation with an intact full flush no newer than the
+  // bound; a torn or incomplete full flush, or one entirely past the
+  // bound, falls back to an older generation.
   for (uint64_t gen = current_gen_ + 1; gen-- > 0;) {
     if (!FileExists(GenPath(gen))) continue;
     auto segments_or = ScanGeneration(gen, nullptr);
     if (!segments_or.ok()) continue;
-    const auto& segments = segments_or.value();
+    std::vector<SegmentInfo> segments = std::move(segments_or).value();
     if (segments.empty() || !segments.front().full_flush ||
         segments.front().object_count != layout_.num_objects() ||
         segments.front().consistent_tick > max_consistent_tick) {
-      // Torn or incomplete full flush, or one entirely past the bound:
-      // try an older generation.
       continue;
     }
-    TP_RETURN_NOT_OK(ScanGeneration(gen, out, max_consistent_tick).status());
-    ImageInfo info;
-    info.valid = true;
-    // Report the newest segment actually applied (within the bound).
-    for (const SegmentInfo& segment : segments) {
-      if (segment.consistent_tick > max_consistent_tick) break;
-      info.seq = segment.seq;
-      info.consistent_tick = segment.consistent_tick;
-    }
-    return info;
+    std::erase_if(segments, [&](const SegmentInfo& segment) {
+      return segment.consistent_tick > max_consistent_tick;
+    });
+    if (gen_out != nullptr) *gen_out = gen;
+    return segments;
   }
-  return Status::NotFound("no recoverable log generation in " + dir_);
+  return std::vector<SegmentInfo>{};
+}
+
+StatusOr<ImageInfo> LogStore::Restore(StateTable* out,
+                                      uint64_t max_consistent_tick) {
+  TP_CHECK(out->layout().num_objects() == layout_.num_objects());
+  uint64_t gen = 0;
+  TP_ASSIGN_OR_RETURN(const std::vector<SegmentInfo> segments,
+                      RestorableSegments(max_consistent_tick, &gen));
+  if (segments.empty()) {
+    return Status::NotFound("no recoverable log generation in " + dir_);
+  }
+  TP_RETURN_NOT_OK(ScanGeneration(gen, out, max_consistent_tick).status());
+  // Report the newest segment applied (within the bound).
+  ImageInfo info;
+  info.valid = true;
+  info.seq = segments.back().seq;
+  info.consistent_tick = segments.back().consistent_tick;
+  return info;
 }
 
 StatusOr<std::vector<SegmentInfo>> LogStore::ScanGeneration(

@@ -119,9 +119,14 @@ struct SegmentInfo {
 /// The append-only checkpoint log, organized in generations.
 class LogStore {
  public:
+  /// Opens the generations under `dir`. A `writable` open creates a
+  /// missing directory. `writable` false is inspection: nothing is created
+  /// or modified, a missing directory holds no generation, and every write
+  /// returns FailedPrecondition.
   static StatusOr<std::unique_ptr<LogStore>> Open(const std::string& dir,
                                                   const StateLayout& layout,
-                                                  bool fsync_enabled);
+                                                  bool fsync_enabled,
+                                                  bool writable = true);
 
   /// True if the bare filename `name` is a generation file ("log-N.img"),
   /// storing N in *gen -- the single owner of the naming rule, shared by
@@ -152,11 +157,9 @@ class LogStore {
   Status DropGenerationsBefore(uint64_t gen);
 
   /// First generation number strictly above every generation file found on
-  /// disk when the store was opened (0 for a fresh directory): what a
-  /// resumed engine must claim so its bootstrap outranks stale state.
-  uint64_t NextFreshGeneration() const {
-    return found_disk_generations_ ? current_gen_ + 1 : 0;
-  }
+  /// disk when the store was opened: what a resumed engine claims so its
+  /// writes outrank stale state.
+  uint64_t NextFreshGeneration() const { return current_gen_ + 1; }
 
   /// Restores the newest recoverable image: picks the highest generation
   /// whose full flush is intact and consistent no later than
@@ -168,13 +171,22 @@ class LogStore {
   StatusOr<ImageInfo> Restore(StateTable* out,
                               uint64_t max_consistent_tick = UINT64_MAX);
 
+  /// The valid segments, with consistent tick <= the bound, of the
+  /// generation Restore would pick (stored in *gen when non-null), oldest
+  /// first: the images it can reach. Empty when nothing is restorable.
+  StatusOr<std::vector<SegmentInfo>> RestorableSegments(
+      uint64_t max_consistent_tick = UINT64_MAX, uint64_t* gen = nullptr);
+
   /// Lists the valid segments of generation `gen` (tests/inspection).
   StatusOr<std::vector<SegmentInfo>> ListSegments(uint64_t gen);
 
   uint64_t current_generation() const { return current_gen_; }
 
  private:
-  LogStore(std::string dir, const StateLayout& layout, bool fsync_enabled);
+  LogStore(std::string dir, const StateLayout& layout, bool fsync_enabled,
+           bool writable);
+  /// FailedPrecondition unless the store was opened writable.
+  Status CheckWritable() const;
   Status MakeDurable(FileWriter* writer);
 
   std::string GenPath(uint64_t gen) const;
@@ -188,8 +200,8 @@ class LogStore {
   std::string dir_;
   StateLayout layout_;
   bool fsync_enabled_;
+  bool writable_;
   uint64_t current_gen_ = 0;
-  bool found_disk_generations_ = false;
   bool gen_open_ = false;
   FileWriter writer_;
   uint64_t append_offset_ = 0;

@@ -31,13 +31,10 @@ CompactionPlan PlanCompaction(const HistoryIndex& index,
   plan.window_base = gens[first_kept].consistent_tick;
 
   // Segment records with tick < window_base serve no surviving generation:
-  // whole segments below the base are dropped, a segment straddling it is
-  // rewritten keeping [window_base, last_tick].
+  // whole segments below the base are dropped, one straddling it is kept.
   for (const auto& seg : index.segments) {
     if (seg.last_tick < plan.window_base) {
       plan.drop_segments.push_back(seg.id);
-    } else if (seg.first_tick < plan.window_base) {
-      plan.rewrite_segments.push_back(seg.id);
     }
   }
   return plan;

@@ -17,13 +17,10 @@ double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// A fresh Open starts a NEW incarnation: its logical log is truncated, so
-// any checkpoint a previous process left in `dir` -- whatever disk
-// organization wrote it -- would recover with the ticks between its
-// consistent tick and this run's start silently missing. Wipe them before
-// the stores open. (The resume path must NOT wipe: OpenResumed loads the
-// recovered state first and then outranks + retires the stale files in
-// WriteBootstrapCheckpoint.)
+// A fresh Open starts a NEW incarnation with a new logical-log chain, so a
+// previous process's images, chain and history -- whatever organization
+// wrote them -- would splice into it. Wipe them before the stores open.
+// (The resume path must NOT wipe: OpenResumed continues the chain.)
 Status RemoveStaleCheckpointFiles(const std::string& dir) {
   std::error_code exists_ec;
   if (!std::filesystem::exists(dir, exists_ec)) return Status::OK();
@@ -41,6 +38,7 @@ Status RemoveStaleCheckpointFiles(const std::string& dir) {
   if (ec) {
     return Status::IOError("list " + dir + ": " + ec.message());
   }
+  TP_RETURN_NOT_OK(LogicalLog::TruncateChain(dir, 0, /*fsync=*/false));
   // A previous incarnation's history describes a timeline this fresh
   // incarnation abandons wholesale.
   std::error_code history_ec;
@@ -95,84 +93,100 @@ StatusOr<std::unique_ptr<Engine>> Engine::OpenResumed(
   std::memcpy(engine->state_.mutable_data(), initial.data(),
               initial.buffer_bytes());
   engine->tick_ = first_tick;
-  // Ordering is the crash-safety argument for a death DURING OpenResumed:
-  // the bootstrap must be durable before the previous incarnation's
-  // logical log is truncated. Die before the bootstrap commits and the old
-  // (log, checkpoints) pair is untouched -- recovery repeats verbatim; die
-  // after it and the bootstrap is the newest image, so recovery lands on
-  // the resume tick whether or not the old log was truncated yet.
   TP_RETURN_NOT_OK(engine->OpenStores());
+  // `initial` is the old timeline at first_tick, so a bootstrap agrees
+  // with the old chain: a death before the chain is cut back recovers the
+  // old timeline, one after it the new. History's future goes first (that
+  // only shrinks the advertised window).
   if (engine->history_ != nullptr) {
-    // Point-in-time history maintenance, BEFORE the live log is truncated
-    // by StartLogicalLogAndWriter and before the bootstrap outranks the
-    // old images: retire the divergent future (generations/segment ticks
-    // at or past the resume tick must never shadow the new timeline), then
-    // archive the surviving prefix of the old incarnation's live log --
-    // the records history needs to bridge its newest generation up to the
-    // resume point. Both are idempotent, and a crash anywhere in here
-    // leaves the old stores authoritative (recovery repeats verbatim).
     TP_RETURN_NOT_OK(engine->history_->TruncateAbove(first_tick));
-    if (first_tick > 0) {
-      TP_RETURN_NOT_OK(engine->history_->ArchiveLiveLog(
-          paths::LogicalLogPath(config.dir), first_tick - 1));
-    }
   }
-  TP_RETURN_NOT_OK(engine->WriteBootstrapCheckpoint());
+  TP_ASSIGN_OR_RETURN(const bool continues, engine->ContinueChain());
+  if (!continues) TP_RETURN_NOT_OK(engine->WriteBootstrapCheckpoint());
+  TP_RETURN_NOT_OK(
+      LogicalLog::TruncateChain(config.dir, first_tick, config.fsync));
+  // Retired after the cut: before it, the bootstrap's old timeline may
+  // still replay a segment straddling first_tick.
+  if (!continues) {
+    TP_RETURN_NOT_OK(engine->RetireLog(first_tick, &engine->state_));
+  }
   TP_RETURN_NOT_OK(engine->StartLogicalLogAndWriter());
   return engine;
 }
 
+StatusOr<bool> Engine::ContinueChain() {
+  // Number the coming checkpoints above every image on disk and find the
+  // newest one. The dirty bits know nothing of the images, so the first
+  // write to each backup (or log generation) covers all objects, beside
+  // the image recovery restores, never over it.
+  bool any = false;
+  uint64_t newest = 0;
+  if (traits_.disk == DiskOrganization::kDoubleBackup) {
+    ImageInfo info[2];
+    for (int index = 0; index < 2; ++index) {
+      TP_ASSIGN_OR_RETURN(info[index], backup_->Inspect(index));
+      if (!info[index].valid) continue;
+      any = true;
+      newest = std::max(newest, info[index].consistent_tick);
+      checkpoint_seq_ = std::max(checkpoint_seq_, info[index].seq + 1);
+    }
+    next_backup_ =
+        info[0].valid && (!info[1].valid || info[0].seq > info[1].seq);
+  } else {
+    TP_ASSIGN_OR_RETURN(const std::vector<SegmentInfo> segments,
+                        log_->RestorableSegments());
+    next_log_gen_ = log_->NextFreshGeneration();
+    any = !segments.empty();
+    if (any) newest = segments.back().consistent_tick;
+  }
+  // No image, or one of a rolled-back future: the stores cannot reproduce
+  // this tick. Otherwise the chain (its future still in place) must reach
+  // it from the newest image.
+  if (!any || newest > tick_) return false;
+  if (newest == tick_) return true;
+  TP_ASSIGN_OR_RETURN(const std::vector<LogSegment> chain,
+                      LogicalLog::LiveChain(config_.dir));
+  auto reach_or = LogicalLog::ReplayChain(chain, newest, tick_ - 1, nullptr);
+  if (!reach_or.ok() && reach_or.status().code() != StatusCode::kCorruption) {
+    return reach_or.status();
+  }
+  return reach_or.ok() && reach_or->records_applied > 0 &&
+         reach_or->last_tick + 1 == tick_;
+}
+
 Status Engine::WriteBootstrapCheckpoint() {
-  // Synchronously persist the resumed state as the bootstrap checkpoint so
-  // that a crash at any later point recovers from (bootstrap image + new
-  // logical log). consistent_ticks = tick_: the image contains everything
-  // up to but not including the first tick this engine will run.
-  //
-  // The directory still holds the previous incarnation's checkpoints, and
-  // they are POISON from here on: Init() already truncated the logical
-  // log, so any pre-crash image would recover with the ticks between its
-  // consistent tick and the resume tick missing. The bootstrap therefore
-  // claims a seq/generation strictly above everything on disk and retires
-  // the stale state, so recovery can never prefer it. (This ordering --
-  // bootstrap durable first, stale state demoted second -- was the dribble
-  // resume flake: the bootstrap used to restart generation numbering at 0
-  // and lose recovery's newest-generation race to its own past.)
+  // Synchronously persist the resumed state (consistent through tick_ - 1)
+  // under the seq/generation ContinueChain numbered above every image on
+  // disk, so recovery prefers it; a new log generation's commit drops the
+  // older ones.
   Job job;
+  job.seq = checkpoint_seq_;
   job.consistent_ticks = tick_;
   job.all_objects = true;
   job.object_count = config_.layout.num_objects();
-  if (traits_.disk == DiskOrganization::kDoubleBackup) {
-    for (int index = 0; index < 2; ++index) {
-      TP_ASSIGN_OR_RETURN(const ImageInfo info, backup_->Inspect(index));
-      if (info.valid) job.seq = std::max(job.seq, info.seq + 1);
-    }
-    job.backup_index = 0;
-  } else {
-    // A full flush opening a fresh generation; its commit retires every
-    // stale generation, whatever numbers the previous incarnation reached.
-    job.log_gen = log_->NextFreshGeneration();
-    job.new_generation = true;
-  }
-  TP_RETURN_NOT_OK(WriteCheckpoint(job, state_.data()));
-  if (traits_.disk == DiskOrganization::kDoubleBackup) {
-    // Invalidate the stale sibling only after the bootstrap is durable: a
-    // fallback to it would silently skip the ticks the truncated logical
-    // log no longer carries.
-    TP_RETURN_NOT_OK(backup_->BeginCheckpoint(1));
-    backup_written_[0] = true;
-    next_backup_ = 1;
-    checkpoint_seq_ = job.seq + 1;
-  } else {
-    checkpoint_seq_ = 1;
+  job.log_gen = next_log_gen_;
+  job.new_generation = traits_.disk == DiskOrganization::kLog;
+  checkpoint_seq_ = job.seq + 1;
+  if (traits_.disk == DiskOrganization::kLog) {
     next_log_gen_ = job.log_gen + 1;
     log_started_ = true;
+    return WriteCheckpoint(job, state_.data());
   }
-  if (history_ != nullptr) {
-    // The resumed state is durable: record it as this incarnation's base
-    // generation (RecordGeneration skips it when the previous timeline
-    // already holds a generation at this tick).
-    TP_RETURN_NOT_OK(history_->RecordGeneration(state_, tick_));
+  // An empty slot, else the older image -- but never over an image that
+  // may reach tick_, which with its chain must survive a death mid-write.
+  // A sibling past tick_ is rolled-back future, retired once this is
+  // durable; one at or below it agrees with both timelines.
+  job.backup_index = next_backup_;
+  TP_ASSIGN_OR_RETURN(const ImageInfo target, backup_->Inspect(next_backup_));
+  if (target.valid && target.consistent_tick <= tick_) job.backup_index ^= 1;
+  const int sibling = job.backup_index ^ 1;
+  TP_ASSIGN_OR_RETURN(const ImageInfo other, backup_->Inspect(sibling));
+  TP_RETURN_NOT_OK(WriteCheckpoint(job, state_.data()));
+  if (other.valid && other.consistent_tick > tick_) {
+    TP_RETURN_NOT_OK(backup_->BeginCheckpoint(sibling));
   }
+  backup_written_[job.backup_index] = true;
+  next_backup_ = sibling;
   return Status::OK();
 }
 
@@ -198,12 +212,9 @@ Status Engine::OpenStores() {
 }
 
 Status Engine::StartLogicalLogAndWriter() {
-  // Creating the logical log TRUNCATES any previous one: from this point
-  // the checkpoint store is the only durable source for pre-resume ticks
-  // (see the ordering note in OpenResumed).
-  TP_ASSIGN_OR_RETURN(logical_,
-                      LogicalLog::Create(paths::LogicalLogPath(config_.dir),
-                                         config_.logical_sync_every));
+  TP_ASSIGN_OR_RETURN(
+      logical_, LogicalLog::Open(config_.dir, tick_, config_.logical_sync_every,
+                                 config_.fsync));
   writer_ = std::thread([this] { WriterMain(); });
   return Status::OK();
 }
@@ -353,6 +364,10 @@ Status Engine::EndTick() {
 StatusOr<double> Engine::StartCheckpoint(
     std::optional<Clock::time_point> cut_stall_start) {
   TP_CHECK(!active_job_.has_value());
+  // This tick's record is the last of the open segment: the checkpoint's
+  // consistent tick opens the next one, so every segment boundary is a
+  // point some image may restore to.
+  TP_RETURN_NOT_OK(logical_->Rotate());
   Job job;
   job.seq = checkpoint_seq_++;
   job.start_tick = tick_;
@@ -513,7 +528,52 @@ Status Engine::ExecuteJob(const Job& job) {
   // Eager jobs write the snapshot in aux_; copy-on-update jobs fetch the
   // live objects (Write-Copies vs Write-Objects).
   TP_RETURN_NOT_OK(WriteCheckpoint(job, job.cou_mode ? nullptr : aux_.data()));
-  return ArchiveCompletedCheckpoint(job);
+  if (history_ == nullptr) return RetireLog(job.consistent_ticks, nullptr);
+  // Retention: the generation mirrors the committed image, read back from
+  // the store (the mutator may already be ticks ahead of it).
+  if (history_scratch_ == nullptr) {
+    history_scratch_ = std::make_unique<StateTable>(config_.layout);
+  }
+  if (traits_.disk == DiskOrganization::kDoubleBackup) {
+    TP_RETURN_NOT_OK(backup_->ReadAll(job.backup_index,
+                                      history_scratch_.get()));
+  } else {
+    TP_RETURN_NOT_OK(log_->Restore(history_scratch_.get(),
+                                   job.consistent_ticks).status());
+  }
+  return RetireLog(job.consistent_ticks, history_scratch_.get());
+}
+
+Status Engine::RetireLog(uint64_t consistent_tick,
+                         const StateTable* generation) {
+  // The oldest consistent tick the live stores can still restore: the
+  // older valid backup image, or the full flush of the current generation.
+  uint64_t floor = generation_base_tick_;
+  if (traits_.disk == DiskOrganization::kDoubleBackup) {
+    floor = UINT64_MAX;
+    for (int index = 0; index < 2; ++index) {
+      TP_ASSIGN_OR_RETURN(const ImageInfo info, backup_->Inspect(index));
+      if (info.valid) floor = std::min(floor, info.consistent_tick);
+    }
+  }
+  TP_ASSIGN_OR_RETURN(std::vector<LogSegment> chain,
+                      LogicalLog::LiveChain(config_.dir));
+  std::vector<LogSegment> retired;
+  for (LogSegment& segment : chain) {
+    // The open segment starts at this image's tick (no rotation runs while
+    // a checkpoint is in flight), so every sealed record lies below it.
+    segment.last_tick = std::min(segment.last_tick, consistent_tick - 1);
+    if (segment.first_tick < consistent_tick && segment.last_tick < floor) {
+      retired.push_back(segment);
+    }
+  }
+  if (history_ != nullptr) {
+    return history_->RecordGeneration(*generation, consistent_tick, retired);
+  }
+  for (const LogSegment& segment : retired) {
+    TP_RETURN_NOT_OK(RemoveFileIfExists(segment.path));
+  }
+  return Status::OK();
 }
 
 Status Engine::WriteCheckpoint(const Job& job, const uint8_t* snapshot) {
@@ -574,28 +634,9 @@ Status Engine::WriteCheckpoint(const Job& job, const uint8_t* snapshot) {
                                      job.consistent_ticks, state_crc);
   }
   TP_RETURN_NOT_OK(log_->CommitSegment());
-  return job.new_generation ? log_->DropGenerationsBefore(job.log_gen)
-                            : Status::OK();
-}
-
-Status Engine::ArchiveCompletedCheckpoint(const Job& job) {
-  if (history_ == nullptr) return Status::OK();
-  // Read the image back from the store rather than snapshotting live
-  // state: the durable checkpoint is exactly the tick-consistent bytes the
-  // generation must mirror, the mutator may already be ticks ahead, and
-  // this works identically under both disk organizations and IO backends
-  // (the commit point above guarantees the bytes are on disk).
-  if (history_scratch_ == nullptr) {
-    history_scratch_ = std::make_unique<StateTable>(config_.layout);
-  }
-  if (traits_.disk == DiskOrganization::kDoubleBackup) {
-    TP_RETURN_NOT_OK(backup_->ReadAll(job.backup_index,
-                                      history_scratch_.get()));
-  } else {
-    TP_RETURN_NOT_OK(log_->Restore(history_scratch_.get(),
-                                   job.consistent_ticks).status());
-  }
-  return history_->RecordGeneration(*history_scratch_, job.consistent_ticks);
+  if (!job.new_generation) return Status::OK();
+  generation_base_tick_ = job.consistent_ticks;
+  return log_->DropGenerationsBefore(job.log_gen);
 }
 
 Status Engine::CompletePendingCheckpoint() {
@@ -638,13 +679,7 @@ Status Engine::Shutdown() {
   return writer_status_;
 }
 
-Status Engine::SimulateCrash() { return SimulateCrashImpl(false); }
-
-Status Engine::SimulateCrashLosingUnsyncedLog() {
-  return SimulateCrashImpl(true);
-}
-
-Status Engine::SimulateCrashImpl(bool lose_unsynced_log) {
+Status Engine::SimulateCrash() {
   TP_CHECK(!shut_down_);
   crashed_.store(true, std::memory_order_release);
   shut_down_ = true;
@@ -654,10 +689,8 @@ Status Engine::SimulateCrashImpl(bool lose_unsynced_log) {
   }
   cv_.notify_one();
   if (writer_.joinable()) writer_.join();
-  // The logical log survives to the last durable group commit; in this
-  // harness a plain SimulateCrash syncs the tail on close, the hard
-  // variant drops everything after the last group commit instead.
-  if (lose_unsynced_log) return logical_->CloseLosingUnsyncedTail();
+  // The logical log survives to the last EndTick (Close syncs the tail);
+  // tests model a lost group-commit window with file operations.
   return logical_->Close();
 }
 

@@ -144,16 +144,22 @@ struct EngineMetrics {
 /// A durable main-memory state table with tick-consistent checkpointing.
 class Engine {
  public:
-  /// Creates the engine, its checkpoint store, and a fresh logical log
-  /// under config.dir.
+  /// Creates the engine, its checkpoint store, and a fresh logical-log
+  /// chain under config.dir (stale images, sealed segments and history of
+  /// a previous incarnation are deleted).
   static StatusOr<std::unique_ptr<Engine>> Open(const EngineConfig& config);
 
-  /// Re-opens an engine from recovered state: the shard-restart workflow.
-  /// Loads `initial` as the in-memory state, writes a synchronous bootstrap
-  /// checkpoint (so the fresh logical log suffices for any later crash),
-  /// and resumes the tick counter at `first_tick`. Blocks for the duration
-  /// of one full checkpoint write -- this is restart downtime, not gameplay
-  /// latency.
+  /// Re-opens an engine from recovered state (`initial`, the state at the
+  /// start of `first_tick`): crash restart, failover, migration, rollback.
+  /// The logical-log chain continues: records at or after `first_tick` (a
+  /// rolled-back future, a torn tail) are retired and the next segment
+  /// opens there. A synchronous bootstrap checkpoint of `initial` is
+  /// written only when the disk cannot reproduce `first_tick` on its own:
+  /// no image at or before it, an image past it, or a gap in the chain
+  /// (a migration to a new directory, a landing taken from history),
+  /// before the chain is cut back and never over an image that reaches
+  /// `first_tick`. Later checkpoints are numbered above every image on
+  /// disk and the first write to each backup covers all objects.
   static StatusOr<std::unique_ptr<Engine>> OpenResumed(
       const EngineConfig& config, const StateTable& initial,
       uint64_t first_tick);
@@ -215,12 +221,6 @@ class Engine {
   /// reference for recovery tests.
   Status SimulateCrash();
 
-  /// Like SimulateCrash, but models an OS-level crash with
-  /// logical_sync_every > 1: every logical-log tick after the last group
-  /// commit is lost, and a torn fragment of the first unsynced record is
-  /// left behind for recovery to discard.
-  Status SimulateCrashLosingUnsyncedLog();
-
   /// Test-only fault injection: the next EndTick fails with `status` after
   /// leaving the tick (in_tick_ cleared) but before the tick's logical-log
   /// append or tick-counter advance -- the shard freezes at its current
@@ -246,11 +246,6 @@ class Engine {
     return dirty_[0].CumulativeMarks();
   }
 
-  /// The shard's history handle, or null when retention is off. Same
-  /// cross-thread rules as metrics(): other threads may touch it only with
-  /// the engine quiesced.
-  ShardHistory* history() { return history_.get(); }
-
  private:
   struct Job {
     uint64_t seq = 0;
@@ -271,15 +266,18 @@ class Engine {
   explicit Engine(const EngineConfig& config);
   /// Opens the checkpoint store (backup or log organization) under dir.
   Status OpenStores();
-  /// Creates the logical log (truncating any previous incarnation's) and
-  /// starts the writer thread. OpenResumed calls this only AFTER the
-  /// bootstrap checkpoint is durable -- see the ordering note there.
+  /// Opens the chain's segment at the current tick; starts the writer.
   Status StartLogicalLogAndWriter();
-  /// Writes the current in-memory state as a complete synchronous
-  /// checkpoint (used by OpenResumed before any tick runs).
+  /// OpenResumed: numbers the coming checkpoints above every image on
+  /// disk; true when the images plus the chain reproduce the current tick.
+  StatusOr<bool> ContinueChain();
+  /// OpenResumed: writes the state as a complete synchronous checkpoint.
   Status WriteBootstrapCheckpoint();
-
-  Status SimulateCrashImpl(bool lose_unsynced_log);
+  /// After the image with `consistent_tick` committed: retires the sealed
+  /// segments wholly below the oldest image the live stores can restore.
+  /// With retention on, history records `generation` (that image's state)
+  /// and takes the retired segments in one index write.
+  Status RetireLog(uint64_t consistent_tick, const StateTable* generation);
 
   /// Handle-Update (Table 2): dirty-bit maintenance + copy on update.
   void HandleUpdate(ObjectId object);
@@ -303,11 +301,6 @@ class Engine {
   /// the bootstrap's state), or, when null, under the copy-on-update
   /// protocol (CouSource).
   Status WriteCheckpoint(const Job& job, const uint8_t* snapshot);
-  /// Retention only: reads the just-committed durable image back out of
-  /// the store and records it as a history generation. Runs on the writer
-  /// thread right after the checkpoint's commit point, so it is uniform
-  /// across disk organizations and IO backends.
-  Status ArchiveCompletedCheckpoint(const Job& job);
   /// Picks the bytes to persist for `object` under the copy-on-update
   /// protocol: the saved pre-image if one exists, else the live object
   /// (copied to `staging` under the object lock).
@@ -329,6 +322,8 @@ class Engine {
   /// Writer-thread scratch for reading committed images back out of the
   /// store during archival; allocated lazily on first use.
   std::unique_ptr<StateTable> history_scratch_;
+  /// Consistent tick of the current log generation's full flush.
+  uint64_t generation_base_tick_ = 0;
 
   AtomicBitMap dirty_[2];     // per-backup dirty bits (log family uses [0])
   AtomicBitMap write_set_;    // snapshot of the active checkpoint's members

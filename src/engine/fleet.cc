@@ -41,9 +41,9 @@ StatusOr<RecoveredFleet> RecoveredFleet::Build(
 
 StatusOr<std::unique_ptr<Fleet>> RecoveredFleet::Resume() {
   // A point-in-time landing resumes as a NEW fleet epoch (committed after
-  // every bootstrap is durable): the old timeline's future generations are
-  // retired inside each Engine::OpenResumed, and the epoch bump is the
-  // fleet-wide commit point of the new timeline.
+  // every shard resumed): the old timeline's future is retired inside each
+  // Engine::OpenResumed, and the epoch bump is the fleet-wide commit point
+  // of the new timeline.
   TP_ASSIGN_OR_RETURN(
       auto engine,
       ShardedEngine::OpenResumed(root_, manifest_, tables_, resume_tick(),

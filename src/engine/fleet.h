@@ -83,12 +83,11 @@ class RecoveredFleet {
   uint64_t target_tick() const { return target_tick_.value_or(0); }
 
   /// Restarts the fleet from this recovered state (the
-  /// ShardedEngine::OpenResumed workflow: per-partition synchronous
-  /// bootstrap checkpoints, stale state retired). Consumes the tables.
-  /// After a point-in-time landing (at_requested_tick()), the resume
-  /// additionally commits the manifest as a new fleet epoch once every
-  /// bootstrap is durable -- the old timeline's divergent future is
-  /// retired and can never shadow the new one.
+  /// ShardedEngine::OpenResumed workflow). Consumes the tables. After a
+  /// point-in-time landing (at_requested_tick()), the resume also commits
+  /// the manifest as a new fleet epoch once every shard resumed -- the old
+  /// timeline's divergent future is retired and can never shadow the new
+  /// one.
   StatusOr<std::unique_ptr<Fleet>> Resume();
 
  private:

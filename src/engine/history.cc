@@ -264,36 +264,48 @@ StatusOr<uint64_t> ShardHistory::ReadGenerationImage(
   return header.consistent_tick;
 }
 
+StatusOr<std::vector<LogSegment>> ShardHistory::Chain(
+    const std::string& shard_dir, const HistoryIndex& index) {
+  std::vector<LogSegment> chain;
+  for (const auto& seg : index.segments) {
+    chain.push_back({SegmentPath(shard_dir, seg.id), seg.first_tick,
+                     seg.last_tick});
+  }
+  TP_ASSIGN_OR_RETURN(const std::vector<LogSegment> live,
+                      LogicalLog::LiveChain(shard_dir));
+  chain.insert(chain.end(), live.begin(), live.end());
+  std::stable_sort(chain.begin(), chain.end(),
+                   [](const LogSegment& a, const LogSegment& b) {
+                     return a.first_tick < b.first_tick;
+                   });
+  return chain;
+}
+
 StatusOr<HistoryWindow> ShardHistory::ComputeWindow(
     const std::string& shard_dir, const HistoryIndex& index) {
   HistoryWindow window;
   if (index.generations.empty()) return window;
-
-  LogicalLog::RangeStats live;
-  const std::string live_path = paths::LogicalLogPath(shard_dir);
-  if (FileExists(live_path)) {
-    TP_ASSIGN_OR_RETURN(live, LogicalLog::ScanRange(live_path));
-  }
+  TP_ASSIGN_OR_RETURN(const std::vector<LogSegment> chain,
+                      Chain(shard_dir, index));
 
   const auto& gens = index.generations;
   const uint64_t newest_tick = gens.back().consistent_tick;
-  // Pick the oldest generation from which logical coverage is contiguous
-  // through the newest generation; fall back to the newest itself. Every
-  // tick in the advertised window is then really restorable -- a group
-  // commit that lost the tail can shrink the window but never lie.
+  // The oldest generation from which the chain is contiguous through the
+  // newest one (or the newest itself): every advertised tick restores.
   for (size_t base = 0; base < gens.size(); ++base) {
     const uint64_t consistent = gens[base].consistent_tick;
-    uint64_t expected = consistent;
-    for (const auto& seg : index.segments) {
-      if (seg.last_tick + 1 <= expected) continue;  // already covered
-      if (seg.first_tick > expected) break;         // gap
-      expected = seg.last_tick + 1;
-    }
-    if (live.records > 0 && live.first_tick <= expected &&
-        live.last_tick + 1 > expected) {
-      expected = live.last_tick + 1;
+    auto reach_or =
+        LogicalLog::ReplayChain(chain, consistent, UINT64_MAX, nullptr);
+    if (!reach_or.ok()) {
+      if (reach_or.status().code() != StatusCode::kCorruption) {
+        return reach_or.status();
+      }
+      continue;  // a gap: a younger generation may bridge it
     }
     // Records cover ticks [consistent, expected).
+    const uint64_t expected = reach_or->records_applied > 0
+                                  ? reach_or->last_tick + 1
+                                  : consistent;
     if (expected < newest_tick && base + 1 < gens.size()) continue;
     const uint64_t high = std::max(expected, newest_tick);
     if (high == 0) break;  // a tick-0 generation with no records: nothing
@@ -306,133 +318,144 @@ StatusOr<HistoryWindow> ShardHistory::ComputeWindow(
 }
 
 Status ShardHistory::RecordGeneration(const StateTable& state,
-                                      uint64_t consistent_tick) {
+                                      uint64_t consistent_tick,
+                                      const std::vector<LogSegment>& retired) {
   TP_CHECK(state.layout().num_objects() == layout_.num_objects());
-  if (!index_.generations.empty() &&
-      consistent_tick <= index_.generations.back().consistent_tick) {
-    // Re-recording an already-archived point (a crash-retried resume
-    // bootstrap) is a no-op; ticks only move forward inside the index.
-    return Status::OK();
-  }
-  const uint64_t seq = index_.next_generation_seq;
-  const std::string path = GenerationPath(shard_dir_, seq);
-  GenerationHeader header;
-  header.magic = kGenerationMagic;
-  header.seq = seq;
-  header.consistent_tick = consistent_tick;
-  header.num_objects = layout_.num_objects();
-  header.object_size = layout_.object_size;
-  header.state_crc = Crc32(state.data(), state.buffer_bytes());
-  header.header_crc =
-      Crc32(&header, sizeof(header) - sizeof(header.header_crc));
-  FileWriter writer;
-  TP_RETURN_NOT_OK(writer.Open(path));
-  TP_RETURN_NOT_OK(writer.Append(&header, sizeof(header)));
-  TP_RETURN_NOT_OK(writer.Append(state.data(), state.buffer_bytes()));
-  if (fsync_) TP_RETURN_NOT_OK(writer.Sync());
-  const uint64_t bytes = writer.bytes_written();
-  TP_RETURN_NOT_OK(writer.Close());
-  if (TakeCrashPoint(HistoryCrashPoint::kAfterGenerationFile)) {
-    return InjectedCrash();
-  }
-  index_.generations.push_back({seq, consistent_tick, bytes});
-  index_.next_generation_seq = seq + 1;
-  TP_RETURN_NOT_OK(WriteIndex());
-  return Compact(nullptr);
-}
-
-Status ShardHistory::ArchiveLiveLog(const std::string& live_log_path,
-                                    uint64_t up_to_tick) {
-  if (!FileExists(live_log_path)) return Status::OK();
-  uint64_t from_tick = 0;
-  if (!index_.segments.empty()) {
-    const uint64_t last = index_.segments.back().last_tick;
-    if (last >= up_to_tick) return Status::OK();  // already archived
-    from_tick = last + 1;
-  }
-  const uint64_t id = index_.next_segment_id;
-  const std::string path = SegmentPath(shard_dir_, id);
-  FileWriter writer;
-  TP_RETURN_NOT_OK(writer.Open(path));
-  auto stats_or =
-      LogicalLog::CopyRecords(live_log_path, from_tick, up_to_tick, &writer);
-  if (!stats_or.ok()) {
-    (void)writer.Close();
-    return stats_or.status();
-  }
-  const LogicalLog::RangeStats stats = stats_or.value();
-  if (stats.records == 0) {
-    // Nothing in range (the live log never reached from_tick): leave no
-    // empty segment behind.
+  HistoryIndex next = index_;
+  // Re-recording an already-archived point (a crash-retried resume) writes
+  // no image; ticks only move forward inside the index.
+  if (next.generations.empty() ||
+      consistent_tick > next.generations.back().consistent_tick) {
+    const uint64_t seq = next.next_generation_seq;
+    const std::string path = GenerationPath(shard_dir_, seq);
+    GenerationHeader header;
+    header.magic = kGenerationMagic;
+    header.seq = seq;
+    header.consistent_tick = consistent_tick;
+    header.num_objects = layout_.num_objects();
+    header.object_size = layout_.object_size;
+    header.state_crc = Crc32(state.data(), state.buffer_bytes());
+    header.header_crc =
+        Crc32(&header, sizeof(header) - sizeof(header.header_crc));
+    FileWriter writer;
+    TP_RETURN_NOT_OK(writer.Open(path));
+    TP_RETURN_NOT_OK(writer.Append(&header, sizeof(header)));
+    TP_RETURN_NOT_OK(writer.Append(state.data(), state.buffer_bytes()));
+    if (fsync_) TP_RETURN_NOT_OK(writer.Sync());
+    const uint64_t bytes = writer.bytes_written();
     TP_RETURN_NOT_OK(writer.Close());
-    return RemoveFileIfExists(path);
+    if (TakeCrashPoint(HistoryCrashPoint::kAfterGenerationFile)) {
+      return InjectedCrash();
+    }
+    next.generations.push_back({seq, consistent_tick, bytes});
+    next.next_generation_seq = seq + 1;
   }
-  if (fsync_) TP_RETURN_NOT_OK(writer.Sync());
-  const uint64_t bytes = writer.bytes_written();
-  TP_RETURN_NOT_OK(writer.Close());
-  if (TakeCrashPoint(HistoryCrashPoint::kAfterSegmentFile)) {
-    return InjectedCrash();
+
+  // Take over the retired live segments the index does not hold yet (one
+  // that survived an interrupted retirement is already indexed).
+  std::vector<std::string> doomed;
+  std::vector<std::pair<std::string, uint64_t>> adopted;  // live path, id
+  for (const LogSegment& segment : retired) {
+    doomed.push_back(segment.path);
+    if (std::any_of(next.segments.begin(), next.segments.end(),
+                    [&](const auto& s) {
+                      return s.first_tick == segment.first_tick;
+                    })) {
+      continue;
+    }
+    std::error_code ec;
+    const uint64_t bytes = std::filesystem::file_size(segment.path, ec);
+    if (ec) {
+      return Status::IOError("stat " + segment.path + ": " + ec.message());
+    }
+    const uint64_t id = next.next_segment_id++;
+    next.segments.push_back(
+        {id, segment.first_tick, segment.last_tick, bytes});
+    adopted.emplace_back(segment.path, id);
   }
-  index_.segments.push_back({id, stats.first_tick, stats.last_tick, bytes});
-  index_.next_segment_id = id + 1;
-  return WriteIndex();
+  CompactInto(&next, &doomed);
+
+  // Link the adopted segments durably before the index names them (one
+  // the compaction already dropped goes with the other retired files).
+  for (const auto& [path, id] : adopted) {
+    TP_RETURN_NOT_OK(RemoveFileIfExists(SegmentPath(shard_dir_, id)));
+    std::error_code ec;
+    std::filesystem::create_hard_link(path, SegmentPath(shard_dir_, id), ec);
+    if (ec) return Status::IOError("link " + path + ": " + ec.message());
+  }
+  if (!adopted.empty() && fsync_) {
+    TP_RETURN_NOT_OK(SyncDirectory(paths::HistoryDir(shard_dir_)));
+  }
+  return Commit(std::move(next), doomed);
 }
 
 Status ShardHistory::TruncateAbove(uint64_t first_tick) {
-  std::vector<std::string> doomed;
   HistoryIndex next = index_;
-  bool changed = false;
+  std::vector<std::string> doomed;
+  std::vector<std::pair<std::string, uint64_t>> cuts;
 
   // Generations whose consistent tick exceeds the resume point contain
   // effects of the retired timeline.
-  next.generations.clear();
-  for (const auto& g : index_.generations) {
-    if (g.consistent_tick > first_tick) {
-      doomed.push_back(GenerationPath(shard_dir_, g.seq));
-      changed = true;
-    } else {
-      next.generations.push_back(g);
-    }
-  }
-
-  // Segment records for ticks >= first_tick are the retired future; a
-  // straddling segment is rewritten under a new id keeping the prefix.
-  next.segments.clear();
-  for (const auto& seg : index_.segments) {
+  std::erase_if(next.generations, [&](const auto& g) {
+    if (g.consistent_tick <= first_tick) return false;
+    doomed.push_back(GenerationPath(shard_dir_, g.seq));
+    return true;
+  });
+  // Segment records for ticks >= first_tick are the retired future: whole
+  // segments past it go, the one straddling it shrinks in the index now
+  // and on disk after the commit.
+  std::vector<HistoryIndex::Segment> kept;
+  for (auto seg : next.segments) {
     if (seg.last_tick < first_tick) {
-      next.segments.push_back(seg);
+      kept.push_back(seg);
       continue;
     }
-    changed = true;
-    doomed.push_back(SegmentPath(shard_dir_, seg.id));
-    if (first_tick == 0 || seg.first_tick > first_tick - 1) continue;
-    const uint64_t new_id = next.next_segment_id++;
-    const std::string new_path = SegmentPath(shard_dir_, new_id);
-    FileWriter writer;
-    TP_RETURN_NOT_OK(writer.Open(new_path));
-    auto stats_or = LogicalLog::CopyRecords(SegmentPath(shard_dir_, seg.id),
-                                            seg.first_tick, first_tick - 1,
-                                            &writer);
-    if (!stats_or.ok()) {
-      (void)writer.Close();
-      return stats_or.status();
+    const std::string path = SegmentPath(shard_dir_, seg.id);
+    LogicalLog::ReplayStats prefix;
+    if (seg.first_tick < first_tick) {
+      TP_ASSIGN_OR_RETURN(
+          prefix, LogicalLog::Replay(path, 0, first_tick - 1, nullptr));
     }
-    if (stats_or.value().records == 0) {
-      TP_RETURN_NOT_OK(writer.Close());
-      TP_RETURN_NOT_OK(RemoveFileIfExists(new_path));
+    if (prefix.records_applied == 0) {
+      doomed.push_back(path);
       continue;
     }
-    if (fsync_) TP_RETURN_NOT_OK(writer.Sync());
-    const uint64_t bytes = writer.bytes_written();
-    TP_RETURN_NOT_OK(writer.Close());
-    if (TakeCrashPoint(HistoryCrashPoint::kAfterRewriteSegmentFile)) {
-      return InjectedCrash();
-    }
-    next.segments.push_back({new_id, stats_or.value().first_tick,
-                             stats_or.value().last_tick, bytes});
+    seg.last_tick = prefix.last_tick;
+    seg.bytes = prefix.bytes;
+    cuts.emplace_back(path, prefix.bytes);
+    kept.push_back(seg);
   }
-  if (!changed) return Status::OK();
+  if (doomed.empty() && cuts.empty()) return Status::OK();
+  next.segments = std::move(kept);
+  TP_RETURN_NOT_OK(Commit(std::move(next), doomed));
+  for (const auto& [path, bytes] : cuts) {
+    TP_RETURN_NOT_OK(TruncateFile(path, bytes, fsync_));
+  }
+  return Status::OK();
+}
 
+bool ShardHistory::CompactInto(HistoryIndex* next,
+                               std::vector<std::string>* doomed) const {
+  const CompactionPlan plan = PlanCompaction(*next, policy_);
+  if (plan.NoOp()) return false;
+  for (uint64_t seq : plan.drop_generations) {
+    doomed->push_back(GenerationPath(shard_dir_, seq));
+    std::erase_if(next->generations,
+                  [seq](const auto& g) { return g.seq == seq; });
+  }
+  for (uint64_t id : plan.drop_segments) {
+    doomed->push_back(SegmentPath(shard_dir_, id));
+    std::erase_if(next->segments, [id](const auto& s) { return s.id == id; });
+  }
+  ++next->compactions_run;
+  return true;
+}
+
+Status ShardHistory::Commit(HistoryIndex next,
+                            const std::vector<std::string>& doomed) {
+  // Index first, file changes second: a crash in between leaves orphans
+  // (swept on the next writable open) or over-long segments (read only up
+  // to their entry), never dangling references.
   index_ = std::move(next);
   TP_RETURN_NOT_OK(WriteIndex());
   if (TakeCrashPoint(HistoryCrashPoint::kBeforeCompactionDeletes)) {
@@ -444,79 +467,11 @@ Status ShardHistory::TruncateAbove(uint64_t first_tick) {
   return Status::OK();
 }
 
-Status ShardHistory::Compact(CompactionStats* stats) {
-  const CompactionPlan plan = PlanCompaction(index_, policy_);
-  if (stats != nullptr) {
-    *stats = CompactionStats{};
-    stats->bytes_before = index_.TotalBytes();
-    stats->bytes_after = stats->bytes_before;
-  }
-  if (plan.NoOp()) return Status::OK();
-
+Status ShardHistory::Compact() {
   HistoryIndex next = index_;
   std::vector<std::string> doomed;
-
-  // Rewrite straddling segments first: the new file lands under a fresh
-  // id, so the old one stays valid until the index repoints.
-  for (uint64_t id : plan.rewrite_segments) {
-    auto it = std::find_if(next.segments.begin(), next.segments.end(),
-                           [id](const auto& s) { return s.id == id; });
-    TP_CHECK(it != next.segments.end());
-    const uint64_t new_id = next.next_segment_id++;
-    const std::string new_path = SegmentPath(shard_dir_, new_id);
-    FileWriter writer;
-    TP_RETURN_NOT_OK(writer.Open(new_path));
-    auto stats_or =
-        LogicalLog::CopyRecords(SegmentPath(shard_dir_, id),
-                                plan.window_base, it->last_tick, &writer);
-    if (!stats_or.ok()) {
-      (void)writer.Close();
-      return stats_or.status();
-    }
-    if (fsync_) TP_RETURN_NOT_OK(writer.Sync());
-    const uint64_t bytes = writer.bytes_written();
-    TP_RETURN_NOT_OK(writer.Close());
-    if (TakeCrashPoint(HistoryCrashPoint::kAfterRewriteSegmentFile)) {
-      return InjectedCrash();
-    }
-    doomed.push_back(SegmentPath(shard_dir_, id));
-    if (stats_or.value().records == 0) {
-      TP_RETURN_NOT_OK(RemoveFileIfExists(new_path));
-      next.segments.erase(it);
-    } else {
-      *it = {new_id, stats_or.value().first_tick, stats_or.value().last_tick,
-             bytes};
-    }
-  }
-  for (uint64_t seq : plan.drop_generations) {
-    doomed.push_back(GenerationPath(shard_dir_, seq));
-    std::erase_if(next.generations,
-                  [seq](const auto& g) { return g.seq == seq; });
-  }
-  for (uint64_t id : plan.drop_segments) {
-    doomed.push_back(SegmentPath(shard_dir_, id));
-    std::erase_if(next.segments,
-                  [id](const auto& s) { return s.id == id; });
-  }
-  ++next.compactions_run;
-
-  // Index first, deletes second: a crash in between leaves orphans (swept
-  // on the next writable open), never dangling references.
-  index_ = std::move(next);
-  TP_RETURN_NOT_OK(WriteIndex());
-  if (TakeCrashPoint(HistoryCrashPoint::kBeforeCompactionDeletes)) {
-    return InjectedCrash();
-  }
-  for (const std::string& path : doomed) {
-    TP_RETURN_NOT_OK(RemoveFileIfExists(path));
-  }
-  if (stats != nullptr) {
-    stats->generations_dropped = plan.drop_generations.size();
-    stats->segments_dropped = plan.drop_segments.size();
-    stats->segments_rewritten = plan.rewrite_segments.size();
-    stats->bytes_after = index_.TotalBytes();
-  }
-  return Status::OK();
+  if (!CompactInto(&next, &doomed)) return Status::OK();
+  return Commit(std::move(next), doomed);
 }
 
 }  // namespace tickpoint

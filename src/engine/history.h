@@ -7,20 +7,25 @@
 //                  recording seq / consistent tick / geometry, plus a CRC
 //                  over the payload), written right after the checkpoint it
 //                  mirrors became durable;
-//   seg-<id>.log   an archived slice of a previous incarnation's logical
-//                  log, byte-identical to the live logical.log record
-//                  format (LogicalLog::Replay works on it unchanged);
+//   seg-<id>.log   a sealed live logical-log segment (engine/logical_log.h)
+//                  history took over by hard link -- never copied or
+//                  rewritten; it, the live sealed segments and logical.log
+//                  form one chain (LogicalLog::ReplayChain);
 //   index.bin      the CRC'd HistoryIndex mapping tick ranges to
 //                  generations and segments.
 //
 // The index is the source of truth. Every mutation follows the same
-// crash-atomic protocol: new payload files are written and fsynced FIRST,
-// then the index is rewritten via tmp + rename + directory fsync. A crash
-// at any step leaves an intact index (old or new); files the index does
-// not reference are orphans from the interrupted step, swept on the next
-// writable open and ignored by read-only opens. A CRC-torn index can
-// therefore only mean real partial-write corruption -- readers surface
-// Corruption and point-in-time recovery falls back to latest recovery.
+// crash-atomic protocol: new payload files (a generation image, segment
+// links) are made durable FIRST, then the index is rewritten via tmp +
+// rename + directory fsync, and only then are retired files unlinked or
+// cut back. A crash at any step leaves an intact index (old or new);
+// unreferenced files are orphans, swept on the next writable open and
+// ignored by read-only opens; a segment file longer than its entry (a cut
+// that did not happen) is read only up to the entry's last tick; a live
+// segment that outlived its adoption is harmless duplicate coverage. A
+// CRC-torn index can therefore only mean real partial-write corruption --
+// readers surface Corruption and point-in-time recovery falls back to
+// latest recovery.
 //
 // Tick convention (identical to the checkpoint stores): a generation's
 // `consistent_tick` C means the image contains the effects of ticks
@@ -32,15 +37,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "engine/logical_log.h"
 #include "engine/state_table.h"
 #include "model/layout.h"
 #include "util/status.h"
 
 namespace tickpoint {
-
-struct CompactionStats;
 
 /// How much history a shard retains. Persisted in the fleet manifest so
 /// the writer and every post-crash reader agree on the window.
@@ -103,16 +108,11 @@ enum class HistoryCrashPoint {
   kNone = 0,
   /// Archival: generation image durable, index not yet rewritten.
   kAfterGenerationFile,
-  /// Archival: segment file durable, index not yet rewritten.
-  kAfterSegmentFile,
   /// Index rewrite: tmp file durable, rename not done.
   kAfterIndexTmp,
   /// Index rewrite: rename done, directory fsync + file deletes not done.
   kAfterIndexRename,
-  /// Compaction: straddling segment rewritten under its new id, index not
-  /// yet repointed at it.
-  kAfterRewriteSegmentFile,
-  /// Compaction: new index committed, expired files not yet deleted.
+  /// Any index rewrite: committed, retired files not yet deleted or cut.
   kBeforeCompactionDeletes,
 };
 
@@ -124,8 +124,8 @@ class ShardHistory {
  public:
   /// Opens (creating if needed) `<shard_dir>/history`, loads the index
   /// (empty when none exists yet), and sweeps orphaned payload files left
-  /// by an interrupted archival or compaction. Corruption when the index
-  /// file exists but fails its CRC.
+  /// by an interrupted archival or compaction. A torn index is reset to
+  /// empty.
   static StatusOr<std::unique_ptr<ShardHistory>> Open(
       const std::string& shard_dir, const StateLayout& layout,
       const RetentionPolicy& policy, bool fsync);
@@ -142,42 +142,36 @@ class ShardHistory {
                                                 uint64_t seq,
                                                 StateTable* out);
 
-  /// The shard's restorable window: generations in `index` plus archived
-  /// segments plus the shard's live logical.log. Chooses the oldest
-  /// generation from which logical coverage is contiguous, so every tick
-  /// inside the window really is restorable.
+  /// The shard's whole chain: `index`'s segments, then the live chain.
+  static StatusOr<std::vector<LogSegment>> Chain(const std::string& shard_dir,
+                                                 const HistoryIndex& index);
+
+  /// The shard's restorable window over `index`'s generations and the
+  /// chain: every tick inside it really is restorable.
   static StatusOr<HistoryWindow> ComputeWindow(const std::string& shard_dir,
                                                const HistoryIndex& index);
 
   // ---- Writer side. ----
 
-  /// Archives the current full state as a new generation with consistent
-  /// tick C, then compacts under the policy (one call per completed
-  /// checkpoint keeps disk self-bounded).
-  Status RecordGeneration(const StateTable& state, uint64_t consistent_tick);
+  /// Archives `state` as a generation with consistent tick C (skipped when
+  /// the index already reaches C), takes the `retired` live segments over
+  /// by hard link, and compacts -- one index write -- then unlinks the
+  /// retired live names. One call per completed checkpoint keeps disk
+  /// self-bounded.
+  Status RecordGeneration(const StateTable& state, uint64_t consistent_tick,
+                          const std::vector<LogSegment>& retired = {});
 
-  /// Archives the intact records of `live_log_path` with tick in
-  /// (last archived tick, up_to_tick] as a new segment. Called by
-  /// Engine::OpenResumed BEFORE the live log is truncated; idempotent
-  /// across a crash-retry (the re-run archives the same clamp). A no-op
-  /// when the range is empty.
-  Status ArchiveLiveLog(const std::string& live_log_path,
-                        uint64_t up_to_tick);
-
-  /// Retires the divergent future at a resume: drops generations with
-  /// consistent tick > first_tick and trims/drops segment records with
-  /// tick >= first_tick. After a point-in-time resume the old timeline
-  /// past the resume point must never shadow the new one.
+  /// Retires the divergent future at a resume so it can never shadow the
+  /// new timeline: drops generations with consistent tick > first_tick and
+  /// segments starting at or after it, and cuts the one straddling it in
+  /// place at a record boundary, after the shrunken index committed.
   Status TruncateAbove(uint64_t first_tick);
 
-  /// Applies the retention policy: folds expired generations and deletes/
-  /// rewrites the segments that no surviving generation needs. Stats are
-  /// optional.
-  Status Compact(CompactionStats* stats);
+  /// Applies the retention policy: drops expired generations and the
+  /// whole segments no surviving generation needs.
+  Status Compact();
 
   const HistoryIndex& index() const { return index_; }
-  const RetentionPolicy& policy() const { return policy_; }
-  uint64_t compactions_run() const { return index_.compactions_run; }
 
   /// Arms a one-shot crash at `point` (tests only).
   void SetCrashPointForTest(HistoryCrashPoint point) {
@@ -194,6 +188,11 @@ class ShardHistory {
 
   /// Commits `index_` durably: tmp write (+fsync), rename, dir fsync.
   Status WriteIndex();
+  /// Applies the policy's plan to `next`, queueing the dropped files on
+  /// `doomed`; false when the plan is a no-op.
+  bool CompactInto(HistoryIndex* next, std::vector<std::string>* doomed) const;
+  /// Makes `next` the index, then deletes `doomed`.
+  Status Commit(HistoryIndex next, const std::vector<std::string>& doomed);
   /// Deletes payload files the index no longer references.
   Status SweepOrphans();
   /// True (once) when the armed crash point is `point`.

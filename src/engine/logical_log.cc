@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "engine/paths.h"
 #include "util/crc32.h"
 
 namespace tickpoint {
@@ -19,16 +20,27 @@ static_assert(sizeof(RecordHeader) == 16);
 
 }  // namespace
 
-StatusOr<std::unique_ptr<LogicalLog>> LogicalLog::Create(
-    const std::string& path, uint64_t sync_every) {
+StatusOr<std::unique_ptr<LogicalLog>> LogicalLog::Open(
+    const std::string& dir, uint64_t first_tick, uint64_t sync_every,
+    bool fsync) {
   TP_CHECK(sync_every >= 1);
-  std::unique_ptr<LogicalLog> log(new LogicalLog(sync_every));
-  TP_RETURN_NOT_OK(log->writer_.Open(path));
+  std::unique_ptr<LogicalLog> log(new LogicalLog(dir, sync_every, fsync));
+  TP_RETURN_NOT_OK(log->StartSegment(first_tick));
   return log;
+}
+
+Status LogicalLog::StartSegment(uint64_t first_tick) {
+  open_first_tick_ = first_tick;
+  open_records_ = 0;
+  TP_RETURN_NOT_OK(writer_.Open(paths::LogicalLogPath(dir_)));
+  // One directory sync makes the new name durable -- and a seal's rename
+  // before it -- ahead of any record acknowledged in it.
+  return fsync_ ? SyncDirectory(dir_) : Status::OK();
 }
 
 Status LogicalLog::AppendTick(uint64_t tick,
                               std::span<const CellUpdate> updates) {
+  TP_DCHECK(tick == open_first_tick_ + open_records_);
   RecordHeader header;
   header.magic = kRecordMagic;
   header.count = static_cast<uint32_t>(updates.size());
@@ -41,55 +53,32 @@ Status LogicalLog::AppendTick(uint64_t tick,
     crc = Crc32(updates.data(), updates.size() * sizeof(CellUpdate), crc);
   }
   TP_RETURN_NOT_OK(writer_.Append(&crc, sizeof(crc)));
-  ++ticks_appended_;
-  if (ticks_appended_ % sync_every_ == 0) {
-    TP_RETURN_NOT_OK(writer_.Sync());
-    MarkSynced();
-  } else {
-    TP_RETURN_NOT_OK(writer_.Flush());
-  }
-  return Status::OK();
+  ++open_records_;
+  return (tick + 1) % sync_every_ == 0 ? writer_.Sync() : writer_.Flush();
 }
 
-Status LogicalLog::Sync() {
-  TP_RETURN_NOT_OK(writer_.Sync());
-  MarkSynced();
-  return Status::OK();
+Status LogicalLog::Rotate() {
+  if (open_records_ == 0) return Status::OK();
+  if (fsync_) TP_RETURN_NOT_OK(writer_.Sync());
+  TP_RETURN_NOT_OK(writer_.Close());
+  TP_RETURN_NOT_OK(
+      RenameFile(paths::LogicalLogPath(dir_),
+                 dir_ + "/" + paths::SealedLogFileName(open_first_tick_)));
+  return StartSegment(open_first_tick_ + open_records_);
 }
 
 Status LogicalLog::Close() {
   if (!writer_.is_open()) return Status::OK();
   TP_RETURN_NOT_OK(writer_.Sync());
-  MarkSynced();
   return writer_.Close();
-}
-
-Status LogicalLog::CloseLosingUnsyncedTail() {
-  if (!writer_.is_open()) return Status::OK();
-  const std::string path = writer_.path();
-  const uint64_t total_bytes = writer_.bytes_written();
-  TP_RETURN_NOT_OK(writer_.Close());  // plain close: no final sync
-  // Keep the synced prefix plus a strict prefix of the next record (a full
-  // header and two bytes -- every nonempty record is at least 28 bytes), the
-  // torn tail a real crash leaves mid-record.
-  const uint64_t unsynced = total_bytes - synced_bytes_;
-  const uint64_t keep =
-      synced_bytes_ +
-      std::min<uint64_t>(unsynced, sizeof(RecordHeader) + 2);
-  std::error_code ec;
-  std::filesystem::resize_file(path, keep, ec);
-  if (ec) {
-    return Status::IOError("truncate " + path + ": " + ec.message());
-  }
-  ticks_appended_ = synced_ticks_;
-  return Status::OK();
 }
 
 namespace {
 
-// Shared scan loop: visits each intact record in order.
+// Shared scan loop: visits each intact record in order until the visitor
+// declines one; returns the end offset of the last record it accepted.
 template <typename Visitor>
-Status ScanLog(const std::string& path, Visitor visit) {
+StatusOr<uint64_t> ScanLog(const std::string& path, Visitor visit) {
   FileReader reader;
   TP_RETURN_NOT_OK(reader.Open(path));
   TP_ASSIGN_OR_RETURN(const uint64_t size, reader.Size());
@@ -118,7 +107,7 @@ Status ScanLog(const std::string& path, Visitor visit) {
     if (!visit(header.tick, updates)) break;
     offset += record_bytes;
   }
-  return Status::OK();
+  return offset;
 }
 
 }  // namespace
@@ -129,11 +118,13 @@ StatusOr<LogicalLog::ReplayStats> LogicalLog::Replay(const std::string& path,
                                                      StateTable* table) {
   ReplayStats stats;
   Status visit_error;
-  TP_RETURN_NOT_OK(ScanLog(
-      path, [&](uint64_t tick, const std::vector<CellUpdate>& updates) {
+  TP_ASSIGN_OR_RETURN(
+      stats.bytes,
+      ScanLog(path, [&](uint64_t tick, const std::vector<CellUpdate>& updates) {
         if (tick > up_to_tick) return false;
         if (tick < from_tick) return true;
         for (const CellUpdate& update : updates) {
+          if (table == nullptr) break;
           if (update.cell >= table->layout().num_cells()) {
             visit_error =
                 Status::Corruption("cell id out of range in logical log");
@@ -141,7 +132,7 @@ StatusOr<LogicalLog::ReplayStats> LogicalLog::Replay(const std::string& path,
           }
           table->WriteCell(update.cell, update.value);
         }
-        ++stats.records_applied;
+        if (stats.records_applied++ == 0) stats.first_tick = tick;
         stats.last_tick = tick;
         return true;
       }));
@@ -149,61 +140,95 @@ StatusOr<LogicalLog::ReplayStats> LogicalLog::Replay(const std::string& path,
   return stats;
 }
 
-StatusOr<uint64_t> LogicalLog::CountDurableTicks(const std::string& path) {
-  uint64_t count = 0;
-  TP_RETURN_NOT_OK(
-      ScanLog(path, [&](uint64_t, const std::vector<CellUpdate>&) {
-        ++count;
-        return true;
-      }));
-  return count;
-}
-
-StatusOr<LogicalLog::RangeStats> LogicalLog::ScanRange(
-    const std::string& path) {
-  RangeStats stats;
-  TP_RETURN_NOT_OK(
-      ScanLog(path, [&](uint64_t tick, const std::vector<CellUpdate>&) {
-        if (stats.records == 0) stats.first_tick = tick;
-        stats.last_tick = tick;
-        ++stats.records;
-        return true;
-      }));
+StatusOr<LogicalLog::ReplayStats> LogicalLog::ReplayChain(
+    const std::vector<LogSegment>& chain, uint64_t from_tick,
+    uint64_t up_to_tick, StateTable* table) {
+  ReplayStats stats;
+  uint64_t next = from_tick;  // the next tick owed
+  for (const LogSegment& segment : chain) {
+    if (next > up_to_tick) break;
+    if (segment.last_tick < next) continue;  // already applied
+    ReplayStats part;
+    part.first_tick = segment.first_tick;
+    if (segment.first_tick <= next) {
+      TP_ASSIGN_OR_RETURN(
+          part, Replay(segment.path, next,
+                       std::min(up_to_tick, segment.last_tick), table));
+      if (part.records_applied == 0) continue;
+    }
+    if (part.first_tick != next) {
+      return Status::Corruption("logical-log chain has a gap: " +
+                                segment.path + " resumes at tick " +
+                                std::to_string(part.first_tick) + ", tick " +
+                                std::to_string(next) + " is missing");
+    }
+    if (stats.records_applied == 0) stats.first_tick = part.first_tick;
+    stats.records_applied += part.records_applied;
+    stats.last_tick = part.last_tick;
+    next = part.last_tick + 1;
+  }
   return stats;
 }
 
-StatusOr<LogicalLog::RangeStats> LogicalLog::CopyRecords(
-    const std::string& path, uint64_t from_tick, uint64_t up_to_tick,
-    FileWriter* writer) {
-  RangeStats stats;
-  Status copy_error;
-  TP_RETURN_NOT_OK(ScanLog(
-      path, [&](uint64_t tick, const std::vector<CellUpdate>& updates) {
-        if (tick > up_to_tick) return false;
-        if (tick < from_tick) return true;
-        RecordHeader header;
-        header.magic = kRecordMagic;
-        header.count = static_cast<uint32_t>(updates.size());
-        header.tick = tick;
-        copy_error = writer->Append(&header, sizeof(header));
-        if (!copy_error.ok()) return false;
-        uint32_t crc = Crc32(&header, sizeof(header));
-        if (!updates.empty()) {
-          copy_error = writer->Append(updates.data(),
-                                      updates.size() * sizeof(CellUpdate));
-          if (!copy_error.ok()) return false;
-          crc = Crc32(updates.data(), updates.size() * sizeof(CellUpdate),
-                      crc);
-        }
-        copy_error = writer->Append(&crc, sizeof(crc));
-        if (!copy_error.ok()) return false;
-        if (stats.records == 0) stats.first_tick = tick;
-        stats.last_tick = tick;
-        ++stats.records;
-        return true;
-      }));
-  TP_RETURN_NOT_OK(copy_error);
-  return stats;
+StatusOr<std::vector<LogSegment>> LogicalLog::LiveChain(
+    const std::string& dir) {
+  std::vector<LogSegment> chain;
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec)) return chain;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    uint64_t first = 0;
+    if (paths::ParseSealedLogFileName(entry.path().filename().string(),
+                                      &first)) {
+      chain.push_back({entry.path().string(), first});
+    }
+  }
+  if (ec) return Status::IOError("list " + dir + ": " + ec.message());
+  std::sort(chain.begin(), chain.end(), [](const auto& a, const auto& b) {
+    return a.first_tick < b.first_tick;
+  });
+  // The open segment joins when it holds an intact record.
+  LogSegment open{paths::LogicalLogPath(dir), UINT64_MAX};
+  if (FileExists(open.path)) {
+    TP_RETURN_NOT_OK(ScanLog(open.path, [&](uint64_t tick, const auto&) {
+                       open.first_tick = tick;
+                       return false;
+                     }).status());
+  }
+  if (open.first_tick != UINT64_MAX) chain.push_back(open);
+  // A sealed segment ends where its successor starts.
+  for (size_t i = 0; i + 1 < chain.size(); ++i) {
+    if (chain[i + 1].first_tick > chain[i].first_tick) {
+      chain[i].last_tick = chain[i + 1].first_tick - 1;
+    }
+  }
+  return chain;
+}
+
+Status LogicalLog::TruncateChain(const std::string& dir, uint64_t first_tick,
+                                 bool fsync) {
+  TP_ASSIGN_OR_RETURN(const std::vector<LogSegment> chain, LiveChain(dir));
+  const std::string open = paths::LogicalLogPath(dir);
+  for (const LogSegment& segment : chain) {
+    if (segment.path != open && segment.last_tick < first_tick) continue;
+    ReplayStats kept;
+    if (segment.first_tick < first_tick) {
+      TP_ASSIGN_OR_RETURN(kept,
+                          Replay(segment.path, 0, first_tick - 1, nullptr));
+    }
+    if (kept.records_applied == 0) {
+      TP_RETURN_NOT_OK(RemoveFileIfExists(segment.path));
+      continue;
+    }
+    // Durable before any record of the new timeline can follow it.
+    TP_RETURN_NOT_OK(TruncateFile(segment.path, kept.bytes, fsync));
+    if (segment.path == open) {
+      TP_RETURN_NOT_OK(RenameFile(
+          open, dir + "/" + paths::SealedLogFileName(kept.first_tick)));
+    }
+  }
+  // An open segment without an intact record is not part of the chain.
+  TP_RETURN_NOT_OK(RemoveFileIfExists(open));
+  return fsync ? SyncDirectory(dir) : Status::OK();
 }
 
 }  // namespace tickpoint

@@ -3,10 +3,19 @@
 // precise tick at which a failure occurred."
 //
 // Each tick appends one self-validating record carrying the cell updates of
-// that tick. Group commit is per tick (configurable): the record is fsynced
-// every `sync_every` ticks, trading a bounded window of lost ticks for
-// fewer syncs. Replay applies records after a checkpoint's consistent tick
+// that tick. Group commit is per tick (configurable): the record of every
+// `sync_every`-th tick is fsynced, trading a bounded window of lost ticks
+// for fewer syncs. Replay applies records after a checkpoint's consistent tick
 // to roll the restored state forward to the crash tick.
+//
+// The log is a chain of segment files. Appends go to the open segment,
+// `logical.log`; a checkpoint starting at tick T seals it after T's record
+// (renamed `logical-<first tick>.log`) and opens the next at T + 1, its
+// consistent tick. Completed checkpoints retire the sealed segments below
+// the oldest restorable live image (deleted, or hard-linked into history),
+// so the chain spans about two checkpoints and a resume continues it. A
+// single-file directory is a one-segment chain. Files may overlap (replay
+// skips applied ticks); a gap is Corruption.
 #ifndef TICKPOINT_ENGINE_LOGICAL_LOG_H_
 #define TICKPOINT_ENGINE_LOGICAL_LOG_H_
 
@@ -32,84 +41,93 @@ struct CellUpdate {
   bool operator==(const CellUpdate&) const = default;
 };
 
-/// Append-side handle.
+/// One file of a logical-log chain: ticks [first_tick, last_tick] at most
+/// (UINT64_MAX: to the file's end). A history segment's bound is its index
+/// entry, which readers must not pass; a sealed live segment ends where
+/// its successor starts.
+struct LogSegment {
+  std::string path;
+  uint64_t first_tick = 0;
+  uint64_t last_tick = UINT64_MAX;
+};
+
+/// Append-side handle on a directory's open segment.
 class LogicalLog {
  public:
-  /// Opens `path` for appending, truncating any previous content.
-  /// `sync_every` = N > 0: fsync after every N-th tick record.
-  static StatusOr<std::unique_ptr<LogicalLog>> Create(const std::string& path,
-                                                      uint64_t sync_every);
+  /// Creates `dir`'s open segment (replacing any file of that name); the
+  /// first record appended will be `first_tick`. `sync_every` = N > 0:
+  /// fsync after tick T's record when N divides T + 1. `fsync` governs
+  /// the seal's file sync and the directory sync after each new segment.
+  static StatusOr<std::unique_ptr<LogicalLog>> Open(const std::string& dir,
+                                                    uint64_t first_tick,
+                                                    uint64_t sync_every,
+                                                    bool fsync);
 
   /// Appends the updates of `tick`. Ticks must be appended in order.
   Status AppendTick(uint64_t tick, std::span<const CellUpdate> updates);
 
-  /// Forces everything appended so far to stable storage.
-  Status Sync();
+  /// Seals the open segment and opens the next one (a no-op while it holds
+  /// no record).
+  Status Rotate();
+
+  /// Syncs and closes the open segment.
   Status Close();
 
-  /// Crash-injection close: makes the log look as it would after an OS
-  /// crash that lost everything past the last group-commit sync. Closes
-  /// the file without a final sync, then truncates it back to the last
-  /// synced byte plus a partial-record fragment of whatever followed, so
-  /// recovery must both stop at the synced prefix and discard a torn tail.
-  Status CloseLosingUnsyncedTail();
-
-  uint64_t ticks_appended() const { return ticks_appended_; }
-  uint64_t bytes_appended() const { return writer_.bytes_written(); }
-  /// Ticks covered by the last group-commit sync.
-  uint64_t synced_ticks() const { return synced_ticks_; }
-
  private:
-  LogicalLog(uint64_t sync_every) : sync_every_(sync_every) {}
+  LogicalLog(std::string dir, uint64_t sync_every, bool fsync)
+      : dir_(std::move(dir)), sync_every_(sync_every), fsync_(fsync) {}
 
-  void MarkSynced() {
-    synced_ticks_ = ticks_appended_;
-    synced_bytes_ = writer_.bytes_written();
-  }
+  /// Starts a fresh open segment whose first record will be `first_tick`.
+  Status StartSegment(uint64_t first_tick);
 
+  std::string dir_;
   FileWriter writer_;
+  uint64_t open_first_tick_ = 0;
+  uint64_t open_records_ = 0;
   uint64_t sync_every_;
-  uint64_t ticks_appended_ = 0;
-  uint64_t synced_ticks_ = 0;
-  uint64_t synced_bytes_ = 0;
+  bool fsync_;
 
  public:
-  // ---- Recovery side (static: operates on a closed log file) ----
+  // ---- Recovery side (static: operates on closed files) ----
 
   /// Outcome of a replay pass.
   struct ReplayStats {
     uint64_t records_applied = 0;
-    uint64_t last_tick = 0;  // valid only when records_applied > 0
+    uint64_t first_tick = 0;  // valid only when records_applied > 0
+    uint64_t last_tick = 0;   // valid only when records_applied > 0
+    /// End offset of the intact records at or below the top of the range:
+    /// where a cut that keeps them goes.
+    uint64_t bytes = 0;
   };
 
-  /// Replays records with tick in [from_tick, up_to_tick] onto `table`.
-  /// Pass UINT64_MAX as `up_to_tick` to replay to the durable end. A torn
-  /// tail (crash mid-record) terminates replay cleanly.
+  /// Replays the records of one file with tick in [from_tick, up_to_tick]
+  /// onto `table` (null: counts them only). Pass UINT64_MAX as
+  /// `up_to_tick` to replay to the durable end. A torn tail (crash
+  /// mid-record) terminates replay cleanly.
   static StatusOr<ReplayStats> Replay(const std::string& path,
                                       uint64_t from_tick, uint64_t up_to_tick,
                                       StateTable* table);
 
-  /// Scans the log and returns the number of intact tick records.
-  static StatusOr<uint64_t> CountDurableTicks(const std::string& path);
+  /// Replays `chain` (ascending first tick) from `from_tick` through
+  /// `up_to_tick` onto `table` (null: checks coverage only): the one replay
+  /// loop of recovery, point-in-time recovery and the history window. It
+  /// opens only the segments that reach `from_tick`, skips applied ticks,
+  /// and returns Corruption on a gap.
+  static StatusOr<ReplayStats> ReplayChain(const std::vector<LogSegment>& chain,
+                                           uint64_t from_tick,
+                                           uint64_t up_to_tick,
+                                           StateTable* table);
 
-  /// Tick range covered by a log file's intact records.
-  struct RangeStats {
-    uint64_t records = 0;
-    uint64_t first_tick = 0;  // valid only when records > 0
-    uint64_t last_tick = 0;   // valid only when records > 0
-  };
+  /// The live chain of `dir`: its sealed segments by first tick, then the
+  /// open segment when it holds a record. Empty for a missing directory.
+  static StatusOr<std::vector<LogSegment>> LiveChain(const std::string& dir);
 
-  /// Scans the log and reports the first/last intact tick.
-  static StatusOr<RangeStats> ScanRange(const std::string& path);
-
-  /// Copies intact records with tick in [from_tick, up_to_tick] from
-  /// `path` onto `writer`, re-serialized in the on-disk record format (so
-  /// the destination file replays with LogicalLog::Replay). The history
-  /// subsystem archives live-log slices into retention segments with this.
-  static StatusOr<RangeStats> CopyRecords(const std::string& path,
-                                          uint64_t from_tick,
-                                          uint64_t up_to_tick,
-                                          FileWriter* writer);
+  /// Cuts `dir`'s live chain back to the records below `first_tick` (a
+  /// rolled-back future, a torn tail): later segments are deleted, the one
+  /// holding the tick is truncated at a record boundary, and the open
+  /// segment is sealed, leaving no logical.log until the next Open.
+  static Status TruncateChain(const std::string& dir, uint64_t first_tick,
+                              bool fsync);
 };
 
 }  // namespace tickpoint

@@ -1,5 +1,5 @@
 // Single owner of every on-disk name the fleet writes or scans: shard
-// directories, checkpoint images, log generations, the logical log, and
+// directories, checkpoint images, log generations, the logical-log chain, and
 // the cut/fleet manifests. Engine, the checkpoint stores, recovery, and
 // the manifests all delegate here, so the writer of a file and the scanner
 // that must find it again after a crash can never drift apart.
@@ -12,6 +12,20 @@
 
 namespace tickpoint {
 namespace paths {
+
+/// True if the bare name `name` is `prefix` + decimal digits + `suffix`,
+/// storing the number in *n: the one parser behind every numbered name.
+inline bool ParseNumberedName(const std::string& name, const char* prefix,
+                              const char* suffix, uint64_t* n) {
+  const std::string head(prefix);
+  if (name.rfind(head, 0) != 0) return false;
+  const char* digits = name.c_str() + head.size();
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(digits, &end, 10);
+  if (end == digits || std::string(end) != suffix) return false;
+  *n = parsed;
+  return true;
+}
 
 /// Checkpoint/log directory of shard slot `slot` under the fleet root.
 inline std::string ShardDir(const std::string& root, uint32_t slot) {
@@ -31,19 +45,31 @@ inline std::string SlotDir(const std::string& root, const std::string& mount,
 /// True if the bare directory name `name` is a shard slot ("shard-N"),
 /// storing N in *slot.
 inline bool ParseShardDirName(const std::string& name, uint32_t* slot) {
-  if (name.rfind("shard-", 0) != 0) return false;
-  const char* digits = name.c_str() + 6;
-  if (*digits == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(digits, &end, 10);
-  if (end == digits || *end != '\0') return false;
-  *slot = static_cast<uint32_t>(parsed);
+  uint64_t n = 0;
+  if (!ParseNumberedName(name, "shard-", "", &n)) return false;
+  *slot = static_cast<uint32_t>(n);
   return true;
 }
 
-/// The logical (redo) log of one engine directory.
+/// The open segment of one engine directory's logical (redo) log chain:
+/// the file ticks are appended to. A directory written as a single
+/// logical.log reads as a one-segment chain.
+inline std::string LogicalLogFileName() { return "logical.log"; }
 inline std::string LogicalLogPath(const std::string& dir) {
-  return dir + "/logical.log";
+  return dir + "/" + LogicalLogFileName();
+}
+
+/// Bare filename of a sealed logical-log segment whose first record is
+/// tick `first_tick` ("logical-N.log").
+inline std::string SealedLogFileName(uint64_t first_tick) {
+  return "logical-" + std::to_string(first_tick) + ".log";
+}
+
+/// True if the bare filename `name` is a sealed logical-log segment,
+/// storing its first tick in *first_tick.
+inline bool ParseSealedLogFileName(const std::string& name,
+                                   uint64_t* first_tick) {
+  return ParseNumberedName(name, "logical-", ".log", first_tick);
 }
 
 /// Bare filename of double-backup image `index` ("backup0.img").
@@ -64,10 +90,7 @@ inline std::string LogGenerationFileName(uint64_t gen) {
 /// *gen.
 inline bool ParseLogGenerationFileName(const std::string& name,
                                        uint64_t* gen) {
-  if (name.rfind("log-", 0) != 0) return false;
-  if (name.find(".img") == std::string::npos) return false;
-  *gen = std::strtoull(name.c_str() + 4, nullptr, 10);
-  return true;
+  return ParseNumberedName(name, "log-", ".img", gen);
 }
 
 /// Bare name of the per-shard history directory (checkpoint generations,
@@ -95,33 +118,21 @@ inline std::string HistoryGenerationFileName(uint64_t seq) {
 /// its sequence number in *seq.
 inline bool ParseHistoryGenerationFileName(const std::string& name,
                                            uint64_t* seq) {
-  if (name.rfind("gen-", 0) != 0) return false;
-  const char* digits = name.c_str() + 4;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(digits, &end, 10);
-  if (end == digits || std::string(end) != ".img") return false;
-  *seq = parsed;
-  return true;
+  return ParseNumberedName(name, "gen-", ".img", seq);
 }
 
-/// Bare filename of archived logical-log segment `id` ("seg-N.log"). The
-/// segment body is byte-identical to the live logical.log record format,
-/// so LogicalLog::Replay works on archived history unchanged.
+/// Bare filename of history-owned logical-log segment `id` ("seg-N.log"):
+/// a sealed live segment history took over by hard link, so its records
+/// are byte-identical to the live chain's.
 inline std::string HistorySegmentFileName(uint64_t id) {
   return "seg-" + std::to_string(id) + ".log";
 }
 
-/// True if the bare filename `name` is an archived logical-log segment,
+/// True if the bare filename `name` is a history-owned log segment,
 /// storing its id in *id.
 inline bool ParseHistorySegmentFileName(const std::string& name,
                                         uint64_t* id) {
-  if (name.rfind("seg-", 0) != 0) return false;
-  const char* digits = name.c_str() + 4;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(digits, &end, 10);
-  if (end == digits || std::string(end) != ".log") return false;
-  *id = parsed;
-  return true;
+  return ParseNumberedName(name, "seg-", ".log", id);
 }
 
 /// The committed consistent-cut manifest under the fleet root.
@@ -145,15 +156,7 @@ inline std::string FleetManifestPath(const std::string& root,
 /// in *epoch.
 inline bool ParseFleetManifestFileName(const std::string& name,
                                        uint64_t* epoch) {
-  constexpr char kPrefix[] = "fleet-manifest-";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (name.rfind(kPrefix, 0) != 0) return false;
-  const char* digits = name.c_str() + kPrefixLen;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(digits, &end, 10);
-  if (end == digits || std::string(end) != ".bin") return false;
-  *epoch = parsed;
-  return true;
+  return ParseNumberedName(name, "fleet-manifest-", ".bin", epoch);
 }
 
 }  // namespace paths

@@ -9,8 +9,6 @@
 #include "engine/consistent_cut.h"
 #include "engine/history.h"
 #include "engine/logical_log.h"
-#include "engine/paths.h"
-#include "util/io.h"
 
 namespace tickpoint {
 namespace {
@@ -21,13 +19,16 @@ double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Shared two-phase recovery body: restores the newest image whose
-/// consistent tick does not exceed `up_to_tick` + 1, then replays the
-/// logical log from the image boundary through `up_to_tick`.
-/// UINT64_MAX = unbounded (plain crash recovery); a finite bound is cut
-/// recovery rewinding past newer checkpoints.
+/// Shared two-phase recovery body: restores the newest image consistent at
+/// or before `up_to_tick` + 1 (live, or `history`'s generations when
+/// given), then replays the chain (live, or history's whole chain) through
+/// `up_to_tick`. UINT64_MAX = unbounded (plain crash recovery); a finite
+/// bound must be reached exactly (the chain replay already refuses a gap
+/// after the restored image), or the result is Corruption.
 StatusOr<RecoveryResult> RecoverImpl(const EngineConfig& config,
-                                     uint64_t up_to_tick, StateTable* out) {
+                                     uint64_t up_to_tick,
+                                     const HistoryIndex* history,
+                                     StateTable* out) {
   TP_CHECK(out->layout().num_objects() == config.layout.num_objects());
   const AlgorithmTraits& traits = GetTraits(config.algorithm);
   const uint64_t max_image_tick =
@@ -35,12 +36,27 @@ StatusOr<RecoveryResult> RecoverImpl(const EngineConfig& config,
   RecoveryResult result;
   out->Clear();
 
-  // Phase 1: restore the newest complete checkpoint image within the
-  // bound. The backup store is opened read-only: recovery only reads, and
-  // an image torn mid-checkpoint still carries the invalidated header
-  // BeginCheckpoint made durable, so it is never picked over its sibling.
+  // Phase 1: restore the newest complete image within the bound. The
+  // stores are opened read-only: recovery only reads, and an image torn
+  // mid-checkpoint still carries the invalidated header BeginCheckpoint
+  // made durable, so it is never picked over its sibling.
   const auto restore_start = Clock::now();
-  if (traits.disk == DiskOrganization::kDoubleBackup) {
+  if (history != nullptr) {
+    const HistoryIndex::Generation* base = nullptr;
+    for (const auto& g : history->generations) {
+      if (g.consistent_tick <= max_image_tick) base = &g;
+    }
+    if (base == nullptr) {
+      return Status::Corruption("no retained generation in " + config.dir +
+                                " is consistent at or before tick " +
+                                std::to_string(up_to_tick));
+    }
+    TP_ASSIGN_OR_RETURN(
+        result.image_consistent_ticks,
+        ShardHistory::ReadGenerationImage(config.dir, base->seq, out));
+    result.restored_from_checkpoint = true;
+    result.image_seq = base->seq;
+  } else if (traits.disk == DiskOrganization::kDoubleBackup) {
     TP_ASSIGN_OR_RETURN(
         auto store, BackupStore::Open(config.dir, config.layout, config.fsync,
                                       /*backend=*/nullptr,
@@ -63,7 +79,8 @@ StatusOr<RecoveryResult> RecoverImpl(const EngineConfig& config,
     }
   } else {
     TP_ASSIGN_OR_RETURN(
-        auto store, LogStore::Open(config.dir, config.layout, config.fsync));
+        auto store, LogStore::Open(config.dir, config.layout, config.fsync,
+                                   /*writable=*/false));
     auto image_or = store->Restore(out, max_image_tick);
     if (image_or.ok()) {
       result.restored_from_checkpoint = true;
@@ -75,19 +92,28 @@ StatusOr<RecoveryResult> RecoverImpl(const EngineConfig& config,
   }
   result.restore_seconds = SecondsSince(restore_start);
 
-  // Phase 2: replay the logical log from the image boundary to the bound
-  // (or the durable end).
+  // Phase 2: replay the chain from the image boundary to the bound (or
+  // the durable end).
   const auto replay_start = Clock::now();
-  const std::string log_path = paths::LogicalLogPath(config.dir);
+  TP_ASSIGN_OR_RETURN(const std::vector<LogSegment> chain,
+                      history != nullptr
+                          ? ShardHistory::Chain(config.dir, *history)
+                          : LogicalLog::LiveChain(config.dir));
   TP_ASSIGN_OR_RETURN(
       const LogicalLog::ReplayStats stats,
-      LogicalLog::Replay(log_path, result.image_consistent_ticks, up_to_tick,
-                         out));
+      LogicalLog::ReplayChain(chain, result.image_consistent_ticks,
+                              up_to_tick, out));
   result.replay_seconds = SecondsSince(replay_start);
   result.ticks_replayed = stats.records_applied;
   result.recovered_ticks = stats.records_applied > 0
                                ? stats.last_tick + 1
                                : result.image_consistent_ticks;
+  if (up_to_tick != UINT64_MAX && result.recovered_ticks != up_to_tick + 1) {
+    return Status::Corruption(
+        "durable state in " + config.dir + " reaches tick " +
+        std::to_string(result.recovered_ticks) + ", not tick " +
+        std::to_string(up_to_tick + 1));
+  }
   return result;
 }
 
@@ -95,109 +121,27 @@ StatusOr<RecoveryResult> RecoverImpl(const EngineConfig& config,
 
 StatusOr<RecoveryResult> Recover(const EngineConfig& config,
                                  StateTable* out) {
-  return RecoverImpl(config, UINT64_MAX, out);
+  return RecoverImpl(config, UINT64_MAX, nullptr, out);
 }
 
 StatusOr<RecoveryResult> RecoverToTick(const EngineConfig& config,
                                        uint64_t cut_tick, StateTable* out) {
-  TP_ASSIGN_OR_RETURN(const RecoveryResult result,
-                      RecoverImpl(config, cut_tick, out));
-  // Exactness guards on top of the shared body: the replayed range must
-  // butt against the restored image (no gap -- every tick appends one
-  // logical record, so applied records are consecutive and their first
-  // tick is recovered_ticks - ticks_replayed) and must actually reach the
-  // cut.
-  if (result.ticks_replayed > 0 &&
-      result.recovered_ticks - result.ticks_replayed >
-          result.image_consistent_ticks) {
-    return Status::Corruption(
-        "logical log in " + config.dir + " starts at tick " +
-        std::to_string(result.recovered_ticks - result.ticks_replayed) +
-        ", after the restored image (" +
-        std::to_string(result.image_consistent_ticks) + ")");
-  }
-  if (result.recovered_ticks != cut_tick + 1) {
-    return Status::Corruption(
-        "durable state in " + config.dir + " reaches tick " +
-        std::to_string(result.recovered_ticks) + ", not the cut tick " +
-        std::to_string(cut_tick + 1));
-  }
-  return result;
+  return RecoverImpl(config, cut_tick, nullptr, out);
 }
 
 StatusOr<RecoveryResult> RecoverToHistoricTick(const EngineConfig& config,
                                                uint64_t tick,
                                                StateTable* out) {
-  // The live stores reproduce any tick from the newest image's consistent
-  // tick to the crash tick; history exists for everything older. Try live
-  // first -- it is exact when it works, and its Corruption is precisely
-  // "this tick predates what the live sources cover".
+  // The live stores reproduce any tick from the older live image's
+  // consistent tick to the crash tick; history exists for everything
+  // older. Try live first -- it is exact when it works, and its Corruption
+  // is precisely "this tick predates what the live sources cover".
   auto live_or = RecoverToTick(config, tick, out);
   if (live_or.ok()) return live_or;
   if (live_or.status().code() != StatusCode::kCorruption) return live_or;
-  const Status live_error = live_or.status();
-
   auto index_or = ShardHistory::ReadIndex(config.dir);
-  if (!index_or.ok()) return live_error;  // no/torn history: live's verdict
-  const HistoryIndex index = std::move(index_or).value();
-
-  // Newest retained generation consistent no later than tick + 1.
-  const HistoryIndex::Generation* base = nullptr;
-  for (const auto& g : index.generations) {
-    if (g.consistent_tick <= tick + 1) base = &g;
-  }
-  if (base == nullptr) {
-    return Status::Corruption(
-        "no retained generation in " + config.dir +
-        " is consistent at or before tick " + std::to_string(tick));
-  }
-
-  RecoveryResult result;
-  out->Clear();
-  const auto restore_start = Clock::now();
-  TP_ASSIGN_OR_RETURN(
-      const uint64_t consistent,
-      ShardHistory::ReadGenerationImage(config.dir, base->seq, out));
-  result.restored_from_checkpoint = true;
-  result.image_seq = base->seq;
-  result.image_consistent_ticks = consistent;
-  result.restore_seconds = SecondsSince(restore_start);
-
-  // Replay archived segments (ascending), then the live log, through
-  // `tick`. Every applied run must butt against what is already recovered:
-  // ticks append one record each, so a source's first applied tick is
-  // (last + 1 - applied).
-  const auto replay_start = Clock::now();
-  uint64_t expected = consistent;
-  std::vector<std::string> sources;
-  for (const auto& seg : index.segments) {
-    sources.push_back(paths::HistoryDir(config.dir) + "/" +
-                      paths::HistorySegmentFileName(seg.id));
-  }
-  sources.push_back(paths::LogicalLogPath(config.dir));
-  for (const std::string& source : sources) {
-    if (!FileExists(source)) continue;
-    TP_ASSIGN_OR_RETURN(const LogicalLog::ReplayStats stats,
-                        LogicalLog::Replay(source, expected, tick, out));
-    if (stats.records_applied == 0) continue;
-    const uint64_t first = stats.last_tick + 1 - stats.records_applied;
-    if (first > expected) {
-      return Status::Corruption("history of " + config.dir +
-                                " has a logical gap before tick " +
-                                std::to_string(first));
-    }
-    expected = stats.last_tick + 1;
-    result.ticks_replayed += stats.records_applied;
-  }
-  result.replay_seconds = SecondsSince(replay_start);
-  result.recovered_ticks = expected;
-  if (expected != tick + 1) {
-    return Status::Corruption(
-        "retained history in " + config.dir + " reaches tick " +
-        std::to_string(expected) + ", not the requested tick " +
-        std::to_string(tick + 1));
-  }
-  return result;
+  if (!index_or.ok()) return live_or;  // no/torn history: live's verdict
+  return RecoverImpl(config, tick, &index_or.value(), out);
 }
 
 namespace {

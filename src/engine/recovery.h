@@ -1,5 +1,5 @@
 // Crash recovery (paper Sections 3.1 and 4.2): restore the newest complete
-// checkpoint, then replay the logical log to the crash tick.
+// checkpoint, then replay the logical-log chain to the crash tick.
 //
 // Fleet-level recovery is manifest-driven: RecoverFleet/RecoverFleetToCut
 // read the durable fleet manifest and need only the fleet ROOT --
@@ -29,7 +29,7 @@ struct RecoveryResult {
   /// Ticks whose effects the restored image contained.
   uint64_t image_consistent_ticks = 0;
   /// false: no complete image existed (early crash); recovery replayed the
-  /// whole logical log onto the initial (zeroed) state.
+  /// chain from tick 0 onto the initial (zeroed) state.
   bool restored_from_checkpoint = false;
   /// Ticks re-applied from the logical log.
   uint64_t ticks_replayed = 0;
@@ -67,12 +67,10 @@ struct ShardedRecoveryResult {
 };
 
 /// Rebuilds one shard's state at EXACTLY the end of `cut_tick`, even when
-/// newer checkpoints exist: restores the newest image consistent no later
-/// than cut_tick + 1 (or starts from zeroed state when the logical log
-/// reaches back to tick 0) and replays the logical log only through
-/// cut_tick. Corruption if the durable sources cannot reproduce the cut
-/// exactly (a gap before the restored image, or a log ending short of the
-/// cut).
+/// newer checkpoints exist: restores the newest live image consistent no
+/// later than cut_tick + 1 and replays the live chain only through
+/// cut_tick. Corruption if the live sources cannot reproduce the cut
+/// exactly (no such image, a gap after it, or a chain ending short).
 StatusOr<RecoveryResult> RecoverToTick(const EngineConfig& config,
                                        uint64_t cut_tick, StateTable* out);
 
@@ -82,10 +80,9 @@ struct ShardedCutRecoveryResult {
   /// or the tick point-in-time recovery asked for). False: no usable
   /// target -- no committed cut manifest (never cut, crash before the
   /// commit, a torn manifest file), or some shard can reproduce the
-  /// target from neither its live stores nor its retained history (a
-  /// death mid-fleet-resume can truncate a log an older cut depended on)
-  /// -- and `fleet` holds the latest-recovery fallback, each shard at its
-  /// own crash tick.
+  /// target from neither its live stores nor its retained history -- and
+  /// `fleet` holds the latest-recovery fallback, each shard at its own
+  /// crash tick.
   bool used_manifest = false;
   uint64_t cut_tick = 0;
   ShardedRecoveryResult fleet;
@@ -122,13 +119,11 @@ StatusOr<FleetRecoveryOutcome> RecoverFleet(const std::string& root,
 StatusOr<FleetRecoveryOutcome> RecoverFleetToCut(const std::string& root,
                                                  std::vector<StateTable>* out);
 
-/// Rebuilds one shard's state at EXACTLY the end of `tick`, reaching back
-/// through the shard's retained history (engine/history.h) when the live
-/// stores alone cannot reproduce it: tries RecoverToTick first, and on its
-/// Corruption loads the newest retained generation consistent no later
-/// than tick + 1 and replays the archived segments plus the live logical
-/// log through `tick`. Corruption when neither source reproduces the tick
-/// exactly (outside the retained window, or a torn history).
+/// Rebuilds one shard's state at EXACTLY the end of `tick`: RecoverToTick,
+/// and on its Corruption the newest retained generation consistent no
+/// later than tick + 1 (engine/history.h) plus the whole chain through
+/// `tick`. Corruption when neither source reproduces the tick exactly
+/// (outside the retained window, or a torn history).
 StatusOr<RecoveryResult> RecoverToHistoricTick(const EngineConfig& config,
                                                uint64_t tick,
                                                StateTable* out);

@@ -179,8 +179,8 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
   std::unique_ptr<ShardedEngine> sharded(new ShardedEngine(config));
   sharded->manifest_ = std::move(manifest);
   if (initial == nullptr) {
-    // A fresh fleet truncates every shard's logical log and wipes the
-    // stale checkpoints, so a cut manifest left by a previous incarnation
+    // A fresh fleet starts every shard's logical-log chain anew and wipes
+    // the stale checkpoints, so a cut manifest a previous incarnation left
     // points at state this run can no longer reproduce: retire it before
     // the first shard opens. The RESUME path must NOT retire it yet -- see
     // the ordering note before the second removal below. Stale fleet
@@ -225,18 +225,12 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::OpenImpl(
   }
   if (initial != nullptr) {
     // Resume ordering: the pre-crash cut manifest is retired only AFTER
-    // every shard's bootstrap checkpoint is durable. A death anywhere
-    // inside the resume loop above therefore leaves the manifest in
-    // place: when the fleet was resumed from the cut itself (first_tick
-    // == cut_tick + 1, the Fleet::RecoverToCut workflow), each
-    // already-resumed shard's bootstrap IS a valid image at the cut and
-    // the untouched shards still carry their pre-crash sources, so cut
-    // recovery reproduces the fleet-consistent state at the cut exactly.
-    // When the manifest's cut is older than first_tick, the resumed
-    // shards' live stores can no longer reproduce it: recovery reaches it
-    // through retained history, or falls back to latest recovery with
-    // retention off (see RecoverFleetToCut) -- but the restore point is
-    // never destroyed while it was still reachable.
+    // every shard resumed, so a death inside the loop above leaves it in
+    // place: resumed from the cut itself (first_tick == cut_tick + 1), each
+    // resumed shard still reproduces the cut (its chain cut back to it, or
+    // a bootstrap at it) and the untouched shards their pre-crash sources.
+    // An older cut is never destroyed while reachable either (see
+    // RecoverFleetToCut for its fallback).
     TP_RETURN_NOT_OK(RemoveFileIfExists(CutManifestPath(config.shard.dir)));
   }
   if (bump_epoch) {
@@ -567,9 +561,16 @@ Status ShardedEngine::MigratePartition(uint32_t partition, uint32_t to_slot,
   // partition still on its old shard, exact at the current tick.
   //
   // The partition's quiesced state is its cut-tick state (precondition
-  // above); bootstrap it into the destination slot. Engine::OpenResumed
-  // writes the synchronous bootstrap checkpoint before starting the
-  // destination's logical log.
+  // above); bootstrap it into the destination slot. The slot is unassigned,
+  // so its directory holds only garbage: clear it, so Engine::OpenResumed
+  // finds no image or chain there and writes the bootstrap checkpoint.
+  const std::string to_dir =
+      paths::SlotDir(config_.shard.dir, mount_root, to_slot);
+  std::error_code stale_ec;
+  std::filesystem::remove_all(to_dir, stale_ec);
+  if (stale_ec) {
+    return Status::IOError("clear " + to_dir + ": " + stale_ec.message());
+  }
   StateTable moved(config_.shard.layout);
   std::memcpy(moved.mutable_data(),
               runners_[partition]->engine().state().data(),
@@ -579,11 +580,8 @@ Status ShardedEngine::MigratePartition(uint32_t partition, uint32_t to_slot,
     // writable) before the destination engine bootstraps under it.
     TP_RETURN_NOT_OK(EnsureDirectory(mount_root));
   }
-  TP_ASSIGN_OR_RETURN(
-      auto dest_engine,
-      Engine::OpenResumed(
-          ShardConfig(paths::SlotDir(config_.shard.dir, mount_root, to_slot)),
-          moved, tick_));
+  TP_ASSIGN_OR_RETURN(auto dest_engine,
+                      Engine::OpenResumed(ShardConfig(to_dir), moved, tick_));
   // Commit the new topology: fleet-manifest-<E+1> via tmp + rename + dir
   // fsync. This rename is the migration's commit point.
   FleetManifest next = manifest_;
@@ -783,8 +781,9 @@ Status ShardedEngine::FailoverShard(uint32_t partition) {
                                     rebuild_start)
           .count();
   // Phase 2: restart the shard on the rebuilt state. Engine::OpenResumed
-  // writes the synchronous bootstrap checkpoint (numbered above every
-  // pre-crash image) before the new logical log starts, so a second crash
+  // continues the dead shard's chain when its images and log reach this
+  // tick, and writes a synchronous bootstrap checkpoint only when they do
+  // not (a lost log tail the peer replica still held), so a second crash
   // at any later point recovers to at least this tick. The old (crashed)
   // runner stays in place until the new engine opened -- an open failure
   // leaves the fleet exactly as FailoverShard found it, retryable.

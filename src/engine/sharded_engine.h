@@ -145,7 +145,7 @@ struct FailoverReport {
   /// the failover-latency number the ROADMAP's "milliseconds, not a disk
   /// replay" claim is about.
   double rebuild_seconds = 0.0;
-  /// Wall time of the shard restart on top of it (bootstrap checkpoint +
+  /// Wall time of the shard restart on top of it (Engine::OpenResumed +
   /// runner spawn) -- identical on both paths.
   double resume_seconds = 0.0;
 };
@@ -299,9 +299,9 @@ class ShardedEngine {
   /// replication is off, the peer is itself crashed, or its buffer is
   /// torn, the state is recovered from the partition's own disk (logical
   /// log replay), which must be exact at the fleet tick. Either way the
-  /// shard restarts via Engine::OpenResumed (synchronous bootstrap
-  /// checkpoint outranking every pre-crash image), the partition's
-  /// replica topology is re-anchored, and the fleet may tick again.
+  /// shard restarts via Engine::OpenResumed (which continues the dead
+  /// shard's chain), the partition's replica topology is re-anchored, and
+  /// the fleet may tick again.
   /// The rebuilt state is byte-identical on both paths -- the failover
   /// tests pin peer-memory digests against a disk-recovered oracle.
   /// FailedPrecondition when the partition is not crashed.
@@ -366,26 +366,18 @@ class ShardedEngine {
   /// recovered state -- one table per partition in partition order -- and
   /// resumes the fleet tick counter at `first_tick` (crash recovery: the
   /// crash fleet's recovered_ticks; cut recovery: cut_tick + 1). Each
-  /// shard runs Engine::OpenResumed, so per shard a synchronous bootstrap
-  /// checkpoint is written, numbered above every stale pre-crash image,
-  /// before the new logical log starts: a
-  /// crash at ANY later point -- including before the fleet's first
-  /// resumed tick -- recovers to at least `first_tick`. Blocks for K
-  /// sequential bootstrap writes; this is fleet restart downtime, not
-  /// gameplay latency. The previous incarnation's cut manifest (if any)
-  /// is retired only AFTER every shard's bootstrap is durable, so a death
-  /// mid-resume never destroys a cut restore point while it is still
-  /// reachable: resuming from the cut itself (first_tick == cut_tick + 1)
-  /// keeps the fleet recoverable to exactly the cut throughout the
-  /// resume, and an older cut is reached through retained history (or,
-  /// with retention off, degrades to the latest-recovery fallback inside
-  /// the cut-recovery path).
+  /// shard runs Engine::OpenResumed (the chain continues; a bootstrap only
+  /// where the live stores cannot reproduce `first_tick`), so a crash at
+  /// ANY later point recovers to at least `first_tick`. The previous
+  /// incarnation's cut manifest (if any) is retired only AFTER every
+  /// shard resumed, so a death mid-resume never destroys a cut restore
+  /// point while it is still reachable.
   ///
   /// `bump_epoch` (a point-in-time resume, RecoveredFleet::Resume after
-  /// Fleet::RecoverToTick): once every shard's bootstrap is durable, the
-  /// manifest is re-committed as epoch + 1 and older epochs retired --
-  /// the new timeline's commit point. A crash before that commit leaves
-  /// the old epoch intact and the operator simply re-runs the restore.
+  /// Fleet::RecoverToTick): once every shard resumed, the manifest is
+  /// re-committed as epoch + 1 and older epochs retired -- the new
+  /// timeline's commit point. A crash before it leaves the old epoch
+  /// intact and the operator simply re-runs the restore.
   static StatusOr<std::unique_ptr<ShardedEngine>> OpenResumed(
       const std::string& root, const FleetManifest& manifest,
       const std::vector<StateTable>& initial, uint64_t first_tick,

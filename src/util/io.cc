@@ -166,6 +166,21 @@ Status RemoveFileIfExists(const std::string& path) {
   return Status::OK();
 }
 
+Status RenameFile(const std::string& from, const std::string& to) {
+  if (::rename(from.c_str(), to.c_str()) != 0) return Errno("rename", from);
+  return Status::OK();
+}
+
+Status TruncateFile(const std::string& path, uint64_t size, bool sync) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) return Errno("open", path);
+  const bool ok = ::ftruncate(fd, static_cast<off_t>(size)) == 0 &&
+                  (!sync || ::fsync(fd) == 0);
+  const Status status = ok ? Status::OK() : Errno("truncate", path);
+  ::close(fd);
+  return status;
+}
+
 Status EnsureDirectory(const std::string& path) {
   std::error_code ec;
   std::filesystem::create_directories(path, ec);

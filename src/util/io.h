@@ -81,6 +81,10 @@ Status WriteStringToFile(const std::string& path, const std::string& data);
 bool FileExists(const std::string& path);
 /// Removes a file if it exists (missing file is not an error).
 Status RemoveFileIfExists(const std::string& path);
+/// Renames `from` to `to`, replacing any file at `to`.
+Status RenameFile(const std::string& from, const std::string& to);
+/// Cuts the file at `path` back to `size` bytes, fsyncing it when `sync`.
+Status TruncateFile(const std::string& path, uint64_t size, bool sync);
 /// Creates a directory (and parents) if missing.
 Status EnsureDirectory(const std::string& path);
 /// fsyncs a directory so renames/creates/unlinks inside it are durable

@@ -262,6 +262,54 @@ TEST_F(StoreTest, BackupReadOnlyOpenChangesNothing) {
   EXPECT_TRUE(FileExists(leftover));
   ASSERT_TRUE(BackupStore::Open(dir_, layout_, false).ok());
   EXPECT_FALSE(FileExists(leftover));
+
+  // The log store's read-only open keeps the same contract: a missing
+  // directory holds nothing and is not created, and every write is
+  // refused without touching the generation on disk.
+  std::filesystem::remove_all(dir_);
+  const uint64_t n = layout_.num_objects();
+  auto expect_refused = [&](LogStore& store) {
+    EXPECT_EQ(store.BeginGeneration(1).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(store.BeginSegment(1, 30, true, n).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(store.DropGenerationsBefore(1).code(),
+              StatusCode::kFailedPrecondition);
+  };
+  {
+    auto store_or = LogStore::Open(dir_, layout_, false, /*writable=*/false);
+    ASSERT_TRUE(store_or.ok());
+    StateTable restored(layout_);
+    EXPECT_EQ(store_or.value()->Restore(&restored).status().code(),
+              StatusCode::kNotFound);
+    expect_refused(*store_or.value());
+    EXPECT_FALSE(std::filesystem::exists(dir_));
+  }
+  {
+    auto store_or = LogStore::Open(dir_, layout_, false);
+    ASSERT_TRUE(store_or.ok());
+    auto& store = *store_or.value();
+    ASSERT_TRUE(store.BeginGeneration(0).ok());
+    ASSERT_TRUE(store.BeginSegment(0, 10, true, n).ok());
+    ASSERT_TRUE(store.AppendRun(0, state.data(), n).ok());
+    ASSERT_TRUE(store.CommitSegment().ok());
+  }
+  std::string before;
+  ASSERT_TRUE(ReadFileToString(dir_ + "/log-0.img", &before).ok());
+  {
+    auto store_or = LogStore::Open(dir_, layout_, false, /*writable=*/false);
+    ASSERT_TRUE(store_or.ok());
+    expect_refused(*store_or.value());
+    StateTable restored(layout_);
+    auto info = store_or.value()->Restore(&restored);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->consistent_tick, 10u);
+    EXPECT_TRUE(restored.ContentEquals(state));
+  }
+  std::string after;
+  ASSERT_TRUE(ReadFileToString(dir_ + "/log-0.img", &after).ok());
+  EXPECT_EQ(before, after);
+  EXPECT_FALSE(FileExists(dir_ + "/log-1.img"));
 }
 
 TEST_F(StoreTest, LogFullFlushAndIncrementsRestore) {
@@ -388,10 +436,10 @@ TEST_F(StoreTest, LogDropGenerations) {
 }
 
 TEST_F(StoreTest, LogicalLogRoundTrip) {
-  const std::string path = dir_ + "/logical.log";
+  const std::string path = paths::LogicalLogPath(dir_);
   ASSERT_TRUE(EnsureDirectory(dir_).ok());
   {
-    auto log_or = LogicalLog::Create(path, 1);
+    auto log_or = LogicalLog::Open(dir_, 0, 1, /*fsync=*/false);
     ASSERT_TRUE(log_or.ok());
     auto& log = *log_or.value();
     std::vector<CellUpdate> t0 = {{0, 10}, {5, 50}};
@@ -400,12 +448,11 @@ TEST_F(StoreTest, LogicalLogRoundTrip) {
     ASSERT_TRUE(log.AppendTick(0, t0).ok());
     ASSERT_TRUE(log.AppendTick(1, t1).ok());
     ASSERT_TRUE(log.AppendTick(2, t2).ok());
-    EXPECT_EQ(log.ticks_appended(), 3u);
     ASSERT_TRUE(log.Close().ok());
   }
-  auto count = LogicalLog::CountDurableTicks(path);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(count.value(), 3u);
+  auto range = LogicalLog::Replay(path, 0, UINT64_MAX, nullptr);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->records_applied, 3u);
 
   StateTable table(layout_);
   auto stats = LogicalLog::Replay(path, 0, UINT64_MAX, &table);
@@ -418,10 +465,10 @@ TEST_F(StoreTest, LogicalLogRoundTrip) {
 }
 
 TEST_F(StoreTest, LogicalLogRangeFilter) {
-  const std::string path = dir_ + "/logical.log";
+  const std::string path = paths::LogicalLogPath(dir_);
   ASSERT_TRUE(EnsureDirectory(dir_).ok());
   {
-    auto log_or = LogicalLog::Create(path, 1);
+    auto log_or = LogicalLog::Open(dir_, 0, 1, /*fsync=*/false);
     ASSERT_TRUE(log_or.ok());
     for (uint64_t t = 0; t < 5; ++t) {
       std::vector<CellUpdate> updates = {
@@ -441,10 +488,10 @@ TEST_F(StoreTest, LogicalLogRangeFilter) {
 }
 
 TEST_F(StoreTest, LogicalLogTornTailStopsReplay) {
-  const std::string path = dir_ + "/logical.log";
+  const std::string path = paths::LogicalLogPath(dir_);
   ASSERT_TRUE(EnsureDirectory(dir_).ok());
   {
-    auto log_or = LogicalLog::Create(path, 1);
+    auto log_or = LogicalLog::Open(dir_, 0, 1, /*fsync=*/false);
     ASSERT_TRUE(log_or.ok());
     std::vector<CellUpdate> updates = {{1, 5}};
     ASSERT_TRUE(log_or.value()->AppendTick(0, updates).ok());
@@ -465,9 +512,9 @@ TEST_F(StoreTest, LogicalLogTornTailStopsReplay) {
 }
 
 TEST_F(StoreTest, LogicalLogGroupCommitWindow) {
-  const std::string path = dir_ + "/logical.log";
+  const std::string path = paths::LogicalLogPath(dir_);
   ASSERT_TRUE(EnsureDirectory(dir_).ok());
-  auto log_or = LogicalLog::Create(path, /*sync_every=*/4);
+  auto log_or = LogicalLog::Open(dir_, 0, /*sync_every=*/4, /*fsync=*/false);
   ASSERT_TRUE(log_or.ok());
   std::vector<CellUpdate> updates = {{1, 5}};
   for (uint64_t t = 0; t < 10; ++t) {
@@ -476,9 +523,9 @@ TEST_F(StoreTest, LogicalLogGroupCommitWindow) {
   // Records are buffered; before Close/Sync only whole group commits are
   // guaranteed durable. After Close, all 10 are.
   ASSERT_TRUE(log_or.value()->Close().ok());
-  auto count = LogicalLog::CountDurableTicks(path);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(count.value(), 10u);
+  auto range = LogicalLog::Replay(path, 0, UINT64_MAX, nullptr);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->records_applied, 10u);
 }
 
 }  // namespace

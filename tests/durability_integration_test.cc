@@ -224,14 +224,46 @@ TEST_F(DurabilityTest, GroupCommitWindowBoundsLoss) {
   EXPECT_TRUE(recovered.ContentEquals(reference));
 }
 
+TEST_F(DurabilityTest, RecoveringAMissingLogStoreDirectoryCreatesNothing) {
+  // Recovery only reads: a log-organization shard whose directory does not
+  // exist recovers to the zeroed state at tick 0 and leaves no directory.
+  EngineConfig config;
+  config.layout = StateLayout::Small(256, 10);
+  config.algorithm = AlgorithmKind::kCopyOnUpdatePartialRedo;
+  config.dir = dir_;
+  config.fsync = false;
+  ASSERT_FALSE(std::filesystem::exists(dir_));
+  StateTable recovered(config.layout);
+  auto result = Recover(config, &recovered);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->restored_from_checkpoint);
+  EXPECT_EQ(result->recovered_ticks, 0u);
+  EXPECT_TRUE(recovered.ContentEquals(StateTable(config.layout)));
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+}
+
+/// The disk an OS crash leaves when the open logical-log segment's records
+/// from tick `lost` on never reached stable storage (sealed segments were
+/// synced when sealed): the segment cut back to its records below `lost`,
+/// plus a torn fragment (a header and two bytes) of the first lost record,
+/// which recovery must discard.
+void LoseLogTicksFrom(const std::string& dir, uint64_t lost) {
+  const std::string open = paths::LogicalLogPath(dir);
+  auto kept_or = LogicalLog::Replay(open, 0, lost - 1, nullptr);
+  ASSERT_TRUE(kept_or.ok());
+  std::filesystem::resize_file(
+      open, std::min<uint64_t>(std::filesystem::file_size(open),
+                               kept_or->bytes + 18));
+}
+
 TEST_F(DurabilityTest, HardCrashBetweenGroupCommitsRecoversLastSyncedTick) {
   // logical_sync_every = 8 and a hard crash after 30 ticks: ticks 24..29
   // never reached stable storage, and a torn fragment of tick 24's record
-  // is left on disk. With no checkpoint image (manual mode, never
-  // scheduled) the logical log is the only recovery source, so the
-  // recovery window is exactly the group-commit window: Recover must land
-  // on tick 24 -- the last synced group commit -- and must not apply the
-  // torn tail.
+  // is left on disk (built by file operations after the crash). With no
+  // checkpoint image (manual mode, never scheduled) the logical log is the
+  // only recovery source, so the recovery window is exactly the
+  // group-commit window: Recover must land on tick 24 -- the last synced
+  // group commit -- and must not apply the torn tail.
   const StateLayout layout = StateLayout::Small(512, 10);
   EngineConfig config;
   config.layout = layout;
@@ -260,15 +292,10 @@ TEST_F(DurabilityTest, HardCrashBetweenGroupCommitsRecoversLastSyncedTick) {
     }
     ASSERT_TRUE(engine.EndTick().ok());
   }
-  ASSERT_TRUE(engine.SimulateCrashLosingUnsyncedLog().ok());
+  ASSERT_TRUE(engine.SimulateCrash().ok());
+  LoseLogTicksFrom(dir_, kSyncedTicks);
 
-  // The on-disk log carries exactly the synced prefix...
-  auto durable_or =
-      LogicalLog::CountDurableTicks(paths::LogicalLogPath(dir_));
-  ASSERT_TRUE(durable_or.ok());
-  EXPECT_EQ(durable_or.value(), kSyncedTicks);
-
-  // ...and recovery lands exactly on the last group commit.
+  // Recovery lands exactly on the last group commit.
   StateTable recovered(layout);
   auto result = Recover(config, &recovered);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -306,7 +333,8 @@ TEST_F(DurabilityTest, HardCrashWithCheckpointsStaysWithinDurableSources) {
     }
     ASSERT_TRUE(engine.EndTick().ok());
   }
-  ASSERT_TRUE(engine.SimulateCrashLosingUnsyncedLog().ok());
+  ASSERT_TRUE(engine.SimulateCrash().ok());
+  LoseLogTicksFrom(dir_, kSyncedTicks);
 
   StateTable recovered(layout);
   auto result = Recover(config, &recovered);

@@ -381,14 +381,17 @@ TEST_F(FleetResumeTest, CrashMidResumePreservesTheCutRestorePoint) {
   }
 }
 
-TEST_F(FleetResumeTest, MidResumeCrashWithOlderCutFallsBackPerShard) {
+TEST_F(FleetResumeTest, MidResumeCrashWithOlderCutStillLandsOnTheCut) {
   // The other mid-resume window: the fleet is resumed from a PLAIN crash
-  // recovery (first_tick past the committed cut), so an already-resumed
-  // shard's truncated log can no longer reproduce the older cut. The
-  // still-present manifest must degrade to the per-shard exact fallback
-  // -- not half-apply, and not surface Corruption.
+  // recovery (first_tick past the committed cut) and dies after shard 0
+  // resumed. The resume continued shard 0's chain instead of truncating
+  // it, and no second checkpoint retired the cut image on either shard, so
+  // the still-present manifest lands the whole fleet on the cut exactly --
+  // not half-applied, and not Corruption.
   const auto config = Config(AlgorithmKind::kCopyOnUpdate, 2);
   std::vector<StateTable> reference;
+  std::vector<StateTable> reference_at_cut;
+  uint64_t cut_tick = 0;
   {
     auto fleet_or = Fleet::Create(config.shard.dir, config);
     ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
@@ -396,9 +399,11 @@ TEST_F(FleetResumeTest, MidResumeCrashWithOlderCutFallsBackPerShard) {
     RunTicks(&engine, 1, &reference);
     auto cut_or = engine.RequestConsistentCut();
     ASSERT_TRUE(cut_or.ok());
-    RunTicks(&engine, cut_or.value() + 1 - engine.current_tick(), &reference);
+    cut_tick = cut_or.value();
+    RunTicks(&engine, cut_tick + 1 - engine.current_tick(), &reference);
+    reference_at_cut = SnapshotTables(reference);
     ASSERT_TRUE(engine.CommitConsistentCut().ok());
-    RunTicks(&engine, 5, &reference);  // well past the cut
+    RunTicks(&engine, 5, &reference);  // one checkpoint period past the cut
     ASSERT_TRUE(engine.SimulateCrash().ok());
   }
   auto crash_or = Fleet::Recover(config.shard.dir);
@@ -415,13 +420,22 @@ TEST_F(FleetResumeTest, MidResumeCrashWithOlderCutFallsBackPerShard) {
     ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
     ASSERT_TRUE(engine_or.value()->SimulateCrash().ok());
   }
+  ASSERT_TRUE(LiveImagesReach(config.shard.dir, cut_tick));
   auto after_or = Fleet::RecoverToCut(config.shard.dir);
   ASSERT_TRUE(after_or.ok()) << after_or.status().ToString();
-  EXPECT_FALSE(after_or->at_cut());
-  EXPECT_EQ(after_or->result().fleet.min_recovered_ticks, resume_tick);
-  EXPECT_EQ(after_or->result().fleet.max_recovered_ticks, resume_tick);
+  EXPECT_TRUE(after_or->at_cut());
+  EXPECT_EQ(after_or->result().fleet.min_recovered_ticks, cut_tick + 1);
+  EXPECT_EQ(after_or->result().fleet.max_recovered_ticks, cut_tick + 1);
   for (uint32_t i = 0; i < 2; ++i) {
-    EXPECT_TRUE(after_or->tables()[i].ContentEquals(reference[i]))
+    EXPECT_TRUE(after_or->tables()[i].ContentEquals(reference_at_cut[i]))
+        << "shard " << i;
+  }
+  // And latest recovery still reaches the crash tick on both shards.
+  auto latest_or = Fleet::Recover(config.shard.dir);
+  ASSERT_TRUE(latest_or.ok()) << latest_or.status().ToString();
+  EXPECT_EQ(latest_or->result().fleet.min_recovered_ticks, resume_tick);
+  for (uint32_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(latest_or->tables()[i].ContentEquals(reference[i]))
         << "shard " << i;
   }
 }

@@ -6,9 +6,13 @@
 #define TICKPOINT_TESTS_FLEET_TEST_UTIL_H_
 
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "engine/checkpoint_store.h"
+#include "engine/fleet_manifest.h"
 #include "engine/mutator.h"
+#include "engine/paths.h"
 #include "engine/sharded_engine.h"
 #include "engine/state_table.h"
 
@@ -53,6 +57,43 @@ inline Status ReapCheckpoints(ShardedEngine* engine) {
     TP_RETURN_NOT_OK(engine->shard(i).CompletePendingCheckpoint());
   }
   return Status::OK();
+}
+
+/// True when every partition of the fleet under `root` (directories from
+/// its newest manifest) still holds a valid live image consistent at or
+/// before the end of `tick`, read from the image headers alone. The live
+/// chain is kept from the oldest such image on, so this is exactly when
+/// the live stores can still land on `tick` without retained history.
+inline bool LiveImagesReach(const std::string& root, uint64_t tick) {
+  auto manifest_or = ReadNewestFleetManifest(root);
+  TP_CHECK_OK(manifest_or.status());
+  const FleetManifest& manifest = manifest_or.value();
+  for (uint32_t p = 0; p < manifest.num_partitions; ++p) {
+    const std::string dir = manifest.PartitionDir(root, p);
+    bool reach = false;
+    if (GetTraits(manifest.algorithm).disk ==
+        DiskOrganization::kDoubleBackup) {
+      auto store_or = BackupStore::Open(dir, manifest.layout, false, nullptr,
+                                        /*writable=*/false);
+      TP_CHECK_OK(store_or.status());
+      for (int index = 0; index < 2; ++index) {
+        auto info_or = store_or.value()->Inspect(index);
+        TP_CHECK_OK(info_or.status());
+        reach |= info_or->valid && info_or->consistent_tick <= tick + 1;
+      }
+    } else {
+      auto store_or =
+          LogStore::Open(dir, manifest.layout, false, /*writable=*/false);
+      TP_CHECK_OK(store_or.status());
+      auto segments_or = store_or.value()->RestorableSegments();
+      TP_CHECK_OK(segments_or.status());
+      for (const SegmentInfo& segment : segments_or.value()) {
+        reach |= segment.consistent_tick <= tick + 1;
+      }
+    }
+    if (!reach) return false;
+  }
+  return true;
 }
 
 }  // namespace tickpoint

@@ -3,10 +3,11 @@
 // test:
 //
 //   1. PlanCompaction -- the pure retention policy over a HistoryIndex;
-//   2. the ShardHistory crash-atomic protocol -- archival, compaction, and
-//      truncation swept with a one-shot injected crash after every durable
-//      step, each followed by a writable reopen (orphan sweep) and a retry
-//      that must converge on the no-crash outcome;
+//   2. the ShardHistory crash-atomic protocol -- archival with segment
+//      adoption, compaction, and truncation swept with a one-shot injected
+//      crash after every durable step, each followed by a writable reopen
+//      (orphan sweep) and a retry that must converge on the no-crash
+//      outcome;
 //   3. the fleet manifest's retention extension (round-trip,
 //      forged-invalid rejection);
 //   4. Fleet::RecoverToTick / RestorableWindow end to end -- every tick in
@@ -76,8 +77,9 @@ TEST(CompactorPlanTest, DropsOldestBeyondMaxGenerations) {
   const CompactionPlan plan = PlanCompaction(index, policy);
   EXPECT_EQ(plan.window_base, 10u);  // oldest survivor is C=10
   EXPECT_EQ(plan.drop_generations, (std::vector<uint64_t>{0, 1}));
+  // Only the segment wholly below the base goes; the straddling one is
+  // kept whole (segments are never rewritten).
   EXPECT_EQ(plan.drop_segments, (std::vector<uint64_t>{0}));
-  EXPECT_EQ(plan.rewrite_segments, (std::vector<uint64_t>{1}));
 }
 
 TEST(CompactorPlanTest, TickBoundDropsTrailersButNeverTheNewest) {
@@ -130,10 +132,10 @@ class HistoryProtocolTest : public ::testing::Test {
     return table;
   }
 
-  /// Writes a live logical.log covering ticks [first, last].
+  /// Writes the open segment (logical.log) covering ticks [first, last].
   void WriteLiveLog(const std::string& shard_dir, uint64_t first,
                     uint64_t last) {
-    auto log_or = LogicalLog::Create(paths::LogicalLogPath(shard_dir), 1);
+    auto log_or = LogicalLog::Open(shard_dir, first, 1, /*fsync=*/false);
     ASSERT_TRUE(log_or.ok()) << log_or.status().ToString();
     for (uint64_t t = first; t <= last; ++t) {
       const CellUpdate update{static_cast<uint32_t>(t % 16),
@@ -141,6 +143,18 @@ class HistoryProtocolTest : public ::testing::Test {
       ASSERT_TRUE(log_or.value()->AppendTick(t, {&update, 1}).ok());
     }
     ASSERT_TRUE(log_or.value()->Close().ok());
+  }
+
+  /// Writes a sealed live segment covering ticks [first, last], as a
+  /// checkpoint's rotation leaves it, and returns it as the engine hands a
+  /// retired segment to history.
+  LogSegment WriteSealedSegment(const std::string& shard_dir, uint64_t first,
+                                uint64_t last) {
+    WriteLiveLog(shard_dir, first, last);
+    const std::string sealed =
+        shard_dir + "/" + paths::SealedLogFileName(first);
+    EXPECT_TRUE(RenameFile(paths::LogicalLogPath(shard_dir), sealed).ok());
+    return {sealed, first, last};
   }
 
   StatusOr<std::unique_ptr<ShardHistory>> OpenHistory(
@@ -168,8 +182,9 @@ class HistoryProtocolTest : public ::testing::Test {
     }
     const std::string history_dir = paths::HistoryDir(shard_dir);
     for (const auto& seg : index.segments) {
-      auto range_or = LogicalLog::ScanRange(
-          history_dir + "/" + paths::HistorySegmentFileName(seg.id));
+      auto range_or = LogicalLog::Replay(
+          history_dir + "/" + paths::HistorySegmentFileName(seg.id), 0,
+          seg.last_tick, nullptr);
       ASSERT_TRUE(range_or.ok())
           << "seg " << seg.id << ": " << range_or.status().ToString();
       EXPECT_EQ(range_or.value().first_tick, seg.first_tick);
@@ -257,79 +272,105 @@ TEST_F(HistoryProtocolTest, RecordGenerationCrashSweep) {
   }
 }
 
-TEST_F(HistoryProtocolTest, ArchiveLiveLogCrashSweep) {
-  const HistoryCrashPoint points[] = {HistoryCrashPoint::kAfterSegmentFile,
-                                      HistoryCrashPoint::kAfterIndexTmp,
-                                      HistoryCrashPoint::kAfterIndexRename};
-  int i = 0;
-  for (const HistoryCrashPoint point : points) {
-    SCOPED_TRACE(static_cast<int>(point));
-    const std::string shard = FreshShardDir(i++);
-    WriteLiveLog(shard, 5, 9);
-    const std::string live = paths::LogicalLogPath(shard);
-    {
-      auto history_or = OpenHistory(shard, 4);
-      ASSERT_TRUE(history_or.ok());
-      ASSERT_TRUE(history_or.value()->RecordGeneration(MakeState(1), 5).ok());
-      history_or.value()->SetCrashPointForTest(point);
-      EXPECT_EQ(history_or.value()->ArchiveLiveLog(live, 9).code(),
-                StatusCode::kInternal);
-    }
-    auto reopened_or = OpenHistory(shard, 4);
-    ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
-    // Idempotent retry: either the crashed attempt committed the segment
-    // (re-run archives nothing) or it did not (re-run archives [5, 9]).
-    ASSERT_TRUE(reopened_or.value()->ArchiveLiveLog(live, 9).ok());
-    ASSERT_EQ(reopened_or.value()->index().segments.size(), 1u);
-    EXPECT_EQ(reopened_or.value()->index().segments[0].first_tick, 5u);
-    EXPECT_EQ(reopened_or.value()->index().segments[0].last_tick, 9u);
-    VerifyIntegrity(shard);
-  }
-}
-
-TEST_F(HistoryProtocolTest, CompactionCrashSweep) {
+TEST_F(HistoryProtocolTest, SegmentAdoptionCrashSweep) {
+  // A checkpoint's generation record and the live segments it retires
+  // commit in ONE index write: image and links first, index second, live
+  // names unlinked last. Whatever step a crash stops at, no record of
+  // [5, 9] is lost, the window stays [4, 12], and the retry adopts the
+  // segment exactly once.
   const HistoryCrashPoint points[] = {
-      HistoryCrashPoint::kAfterRewriteSegmentFile,
+      HistoryCrashPoint::kAfterGenerationFile,
       HistoryCrashPoint::kAfterIndexTmp, HistoryCrashPoint::kAfterIndexRename,
       HistoryCrashPoint::kBeforeCompactionDeletes};
   int i = 0;
   for (const HistoryCrashPoint point : points) {
     SCOPED_TRACE(static_cast<int>(point));
     const std::string shard = FreshShardDir(i++);
-    WriteLiveLog(shard, 0, 14);
-    const std::string live = paths::LogicalLogPath(shard);
+    const LogSegment sealed = WriteSealedSegment(shard, 5, 9);
+    WriteLiveLog(shard, 10, 12);
     {
-      // Build four generations and two segments under a policy loose
-      // enough that nothing compacts during setup.
+      auto history_or = OpenHistory(shard, 4);
+      ASSERT_TRUE(history_or.ok());
+      ASSERT_TRUE(history_or.value()->RecordGeneration(MakeState(1), 5).ok());
+      history_or.value()->SetCrashPointForTest(point);
+      EXPECT_EQ(
+          history_or.value()->RecordGeneration(MakeState(2), 10, {sealed})
+              .code(),
+          StatusCode::kInternal);
+    }
+    auto expect_window = [&] {
+      auto index_or = ShardHistory::ReadIndex(shard);
+      ASSERT_TRUE(index_or.ok()) << index_or.status().ToString();
+      auto window_or = ShardHistory::ComputeWindow(shard, index_or.value());
+      ASSERT_TRUE(window_or.ok()) << window_or.status().ToString();
+      ASSERT_TRUE(window_or->any);
+      EXPECT_EQ(window_or->low_tick, 4u);
+      EXPECT_EQ(window_or->high_tick, 12u);
+    };
+    expect_window();
+    EXPECT_TRUE(FileExists(sealed.path));
+
+    auto reopened_or = OpenHistory(shard, 4);
+    ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+    ASSERT_TRUE(
+        reopened_or.value()->RecordGeneration(MakeState(2), 10, {sealed})
+            .ok());
+    const HistoryIndex& index = reopened_or.value()->index();
+    ASSERT_EQ(index.generations.size(), 2u);
+    EXPECT_EQ(index.generations[1].consistent_tick, 10u);
+    ASSERT_EQ(index.segments.size(), 1u);
+    EXPECT_EQ(index.segments[0].first_tick, 5u);
+    EXPECT_EQ(index.segments[0].last_tick, 9u);
+    EXPECT_FALSE(FileExists(sealed.path));
+    VerifyIntegrity(shard);
+    expect_window();
+  }
+}
+
+TEST_F(HistoryProtocolTest, CompactionCrashSweep) {
+  const HistoryCrashPoint points[] = {
+      HistoryCrashPoint::kAfterIndexTmp, HistoryCrashPoint::kAfterIndexRename,
+      HistoryCrashPoint::kBeforeCompactionDeletes};
+  int i = 0;
+  for (const HistoryCrashPoint point : points) {
+    SCOPED_TRACE(static_cast<int>(point));
+    const std::string shard = FreshShardDir(i++);
+    {
+      // Build four generations and two adopted segments under a policy
+      // loose enough that nothing compacts during setup.
       auto history_or = OpenHistory(shard, 4);
       ASSERT_TRUE(history_or.ok());
       ShardHistory& history = *history_or.value();
       ASSERT_TRUE(history.RecordGeneration(MakeState(0), 0).ok());
-      ASSERT_TRUE(history.ArchiveLiveLog(live, 4).ok());
-      ASSERT_TRUE(history.RecordGeneration(MakeState(1), 5).ok());
-      ASSERT_TRUE(history.ArchiveLiveLog(live, 12).ok());
-      ASSERT_TRUE(history.RecordGeneration(MakeState(2), 10).ok());
+      ASSERT_TRUE(history
+                      .RecordGeneration(MakeState(1), 5,
+                                        {WriteSealedSegment(shard, 0, 4)})
+                      .ok());
+      ASSERT_TRUE(history
+                      .RecordGeneration(MakeState(2), 10,
+                                        {WriteSealedSegment(shard, 5, 12)})
+                      .ok());
       ASSERT_TRUE(history.RecordGeneration(MakeState(3), 15).ok());
       ASSERT_EQ(history.index().generations.size(), 4u);
       ASSERT_EQ(history.index().segments.size(), 2u);
     }
+    WriteLiveLog(shard, 13, 14);
     // Tighten to two generations: base becomes C=10, segment [0,4] must
-    // drop, segment [5,12] must be rewritten to [10,12] under a new id.
+    // drop, segment [5,12] straddles the base and stays whole.
     auto tight_or = OpenHistory(shard, 2);
     ASSERT_TRUE(tight_or.ok());
     tight_or.value()->SetCrashPointForTest(point);
-    EXPECT_EQ(tight_or.value()->Compact(nullptr).code(),
-              StatusCode::kInternal);
+    EXPECT_EQ(tight_or.value()->Compact().code(), StatusCode::kInternal);
 
     auto reopened_or = OpenHistory(shard, 2);
     ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
-    ASSERT_TRUE(reopened_or.value()->Compact(nullptr).ok());
+    ASSERT_TRUE(reopened_or.value()->Compact().ok());
     const HistoryIndex& index = reopened_or.value()->index();
     ASSERT_EQ(index.generations.size(), 2u);
     EXPECT_EQ(index.generations[0].consistent_tick, 10u);
     EXPECT_EQ(index.generations[1].consistent_tick, 15u);
     ASSERT_EQ(index.segments.size(), 1u);
-    EXPECT_EQ(index.segments[0].first_tick, 10u);
+    EXPECT_EQ(index.segments[0].first_tick, 5u);
     EXPECT_EQ(index.segments[0].last_tick, 12u);
     VerifyIntegrity(shard);
     // The post-compaction window is exactly as advertised: base C=10
@@ -344,31 +385,43 @@ TEST_F(HistoryProtocolTest, CompactionCrashSweep) {
 
 TEST_F(HistoryProtocolTest, TruncateAboveCrashSweep) {
   const HistoryCrashPoint points[] = {
-      HistoryCrashPoint::kAfterRewriteSegmentFile,
       HistoryCrashPoint::kAfterIndexTmp, HistoryCrashPoint::kAfterIndexRename,
       HistoryCrashPoint::kBeforeCompactionDeletes};
   int i = 0;
   for (const HistoryCrashPoint point : points) {
     SCOPED_TRACE(static_cast<int>(point));
     const std::string shard = FreshShardDir(i++);
-    WriteLiveLog(shard, 0, 9);
-    const std::string live = paths::LogicalLogPath(shard);
     {
       auto history_or = OpenHistory(shard, 8);
       ASSERT_TRUE(history_or.ok());
       ShardHistory& history = *history_or.value();
       ASSERT_TRUE(history.RecordGeneration(MakeState(0), 0).ok());
       ASSERT_TRUE(history.RecordGeneration(MakeState(1), 5).ok());
-      ASSERT_TRUE(history.ArchiveLiveLog(live, 9).ok());
-      ASSERT_TRUE(history.RecordGeneration(MakeState(2), 10).ok());
+      ASSERT_TRUE(history
+                      .RecordGeneration(MakeState(2), 10,
+                                        {WriteSealedSegment(shard, 0, 9)})
+                      .ok());
     }
     // Resume at tick 6: generation C=10 is the divergent future, segment
-    // [0,9] must be trimmed back to [0,5].
+    // [0,9] is cut back in place to [0,5] after the index shrank.
     auto history_or = OpenHistory(shard, 8);
     ASSERT_TRUE(history_or.ok());
     history_or.value()->SetCrashPointForTest(point);
     EXPECT_EQ(history_or.value()->TruncateAbove(6).code(),
               StatusCode::kInternal);
+    {
+      // Whether or not the cut reached the file, a reader never replays
+      // the retired ticks: the index bounds the segment.
+      auto index_or = ShardHistory::ReadIndex(shard);
+      ASSERT_TRUE(index_or.ok());
+      auto chain_or = ShardHistory::Chain(shard, index_or.value());
+      ASSERT_TRUE(chain_or.ok());
+      auto reach_or = LogicalLog::ReplayChain(chain_or.value(), 0,
+                                              UINT64_MAX, nullptr);
+      ASSERT_TRUE(reach_or.ok()) << reach_or.status().ToString();
+      EXPECT_EQ(reach_or->last_tick,
+                point == HistoryCrashPoint::kAfterIndexTmp ? 9u : 5u);
+    }
 
     auto reopened_or = OpenHistory(shard, 8);
     ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
@@ -825,10 +878,11 @@ TEST_F(FleetPitTest, ResumeStartsANewEpochAndRetiresTheOldFuture) {
 }
 
 TEST_F(FleetPitTest, TornHistoryIndexFallsBackToLatestRecovery) {
-  // A resume in the middle truncates the live logs and retires the stale
-  // live images, so ticks BEFORE the resume point are reachable only
-  // through the history subsystem -- exactly the regime where a torn
-  // index must degrade cleanly.
+  // The window's low end lies below the live images of the shard whose
+  // history sets it (the live stores retired the sealed segments there),
+  // so that shard reaches it only through the history subsystem --
+  // exactly the regime where a torn index must degrade cleanly. A resume
+  // in the middle makes the chain span two incarnations.
   const auto config = Config(2);
   constexpr uint64_t kFirstRun = 14;
   std::vector<StateTable> reference;
@@ -850,18 +904,30 @@ TEST_F(FleetPitTest, TornHistoryIndexFallsBackToLatestRecovery) {
   auto window_or = Fleet::RestorableWindow(dir_);
   ASSERT_TRUE(window_or.ok());
   ASSERT_TRUE(window_or->any);
-  ASSERT_LT(window_or->low_tick, kFirstRun - 1);
-  const uint64_t target = (window_or->low_tick + (kFirstRun - 1)) / 2;
+  const uint64_t target = window_or->low_tick;
+  // The shard whose live stores cannot reproduce the target.
+  auto manifest_or = ReadNewestFleetManifest(dir_);
+  ASSERT_TRUE(manifest_or.ok()) << manifest_or.status().ToString();
+  EngineConfig shard = ConfigFromManifest(*manifest_or, dir_).shard;
+  uint32_t torn = 2;
+  for (uint32_t i = 0; i < 2 && torn == 2; ++i) {
+    shard.dir = manifest_or->PartitionDir(dir_, i);
+    StateTable scratch(ShardLayout());
+    if (RecoverToTick(shard, target, &scratch).status().code() ==
+        StatusCode::kCorruption) {
+      torn = i;
+    }
+  }
+  ASSERT_LT(torn, 2u) << "every shard's live stores reach tick " << target;
 
-  // Sanity: with an intact index this pre-resume tick restores exactly
-  // (through a generation image + archived segments, not the live log).
+  // Sanity: with an intact index this tick restores exactly (that shard
+  // through a generation image and history-owned segments).
   ExpectRestoreMatches(target, per_tick);
 
-  // Tear shard 0's index: a CRC failure there means real corruption, and
-  // the whole-fleet restore must degrade to consistent latest recovery
+  // Tear that shard's index: a CRC failure there means real corruption,
+  // and the whole-fleet restore must degrade to consistent latest recovery
   // rather than half-apply one shard's history.
-  const std::string index_path =
-      paths::HistoryIndexPath(paths::ShardDir(dir_, 0));
+  const std::string index_path = paths::HistoryIndexPath(shard.dir);
   std::string bytes;
   ASSERT_TRUE(ReadFileToString(index_path, &bytes).ok());
   bytes[bytes.size() / 2] ^= 0x01;

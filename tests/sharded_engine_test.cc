@@ -762,12 +762,14 @@ class ConsistentCutCrashRecoveryTest
 
 // The central tentpole property: with the cut requested at fleet tick 2
 // (cut tick T = 4), a crash at ANY tick either recovers the whole fleet to
-// exactly T from the committed manifest (crash after the commit, however
-// many staggered checkpoints landed since), or falls back to per-shard
-// exactness (crash before the commit -- including the crash BETWEEN the
-// last shard ack and the manifest commit, which is exactly the
+// exactly T from the committed manifest (crash after the commit, while
+// every shard still holds a live image at or before T), or falls back to
+// per-shard exactness: crash before the commit -- including the crash
+// BETWEEN the last shard ack and the manifest commit, which is exactly the
 // crash_tick == T case: every shard's cut checkpoint is durable but
-// CommitConsistentCut never ran).
+// CommitConsistentCut never ran -- or after two later checkpoints on some
+// shard retired the cut image together with the log segments behind it
+// (retention is off here; with it on, history keeps the cut reachable).
 TEST_P(ConsistentCutCrashRecoveryTest, FleetRecoversExactlyToTheCut) {
   const CutCrashCase param = GetParam();
   auto config = Config(param.kind, param.num_shards);
@@ -810,7 +812,7 @@ TEST_P(ConsistentCutCrashRecoveryTest, FleetRecoversExactlyToTheCut) {
   const ShardedCutRecoveryResult& result = recovered_or->result();
   std::vector<StateTable>& recovered = recovered_or->tables();
   ASSERT_EQ(recovered.size(), param.num_shards);
-  if (committed) {
+  if (committed && LiveImagesReach(config.shard.dir, cut_tick)) {
     EXPECT_TRUE(result.used_manifest);
     EXPECT_TRUE(recovered_or->at_cut());
     EXPECT_EQ(result.cut_tick, cut_tick);
@@ -1053,11 +1055,16 @@ TEST_F(ShardedEngineTest, SeededRandomizedFleetCrashInjection) {
     const ShardedCutRecoveryResult& result = recovered_or->result();
     std::vector<StateTable>& recovered = recovered_or->tables();
     ASSERT_EQ(recovered.size(), shape.num_shards);
+    // The live chain is kept only from the older live image on, so a
+    // committed cut is reproducible while some image at or before it
+    // survives; past that (retention off) the fleet falls back to latest.
+    const bool at_cut =
+        committed && LiveImagesReach(config.shard.dir, cut_tick);
     const std::vector<StateTable>& expected =
-        committed ? reference_at_cut : reference;
+        at_cut ? reference_at_cut : reference;
     const uint64_t expected_ticks =
-        committed ? cut_tick + 1 : shape.crash_tick + 1;
-    EXPECT_EQ(result.used_manifest, committed);
+        at_cut ? cut_tick + 1 : shape.crash_tick + 1;
+    EXPECT_EQ(result.used_manifest, at_cut);
     EXPECT_EQ(result.fleet.min_recovered_ticks, expected_ticks);
     EXPECT_EQ(result.fleet.max_recovered_ticks, expected_ticks);
     for (uint32_t i = 0; i < shape.num_shards; ++i) {

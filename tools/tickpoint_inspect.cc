@@ -6,18 +6,20 @@
 //
 // Default mode prints the state of both double-backup images (validity,
 // sequence, consistent tick), any checkpoint-log generations with their
-// segments, and the logical log's durable tick range -- everything an
-// operator needs to answer "what would this shard recover to right now?".
+// segments, and the logical-log chain -- each history-owned and sealed
+// segment with its first tick, last tick and size, and the open segment's
+// durable tick range -- everything an operator needs to answer "what
+// would this shard recover to right now?".
 //
 // --history prints the point-in-time retention state instead: the
-// generation table with per-generation on-disk bytes, the archived
+// generation table with per-generation on-disk bytes, the history-owned
 // logical-log segments, the retained (restorable) tick window, and what
-// the next compaction pass would drop or rewrite under the given policy.
+// the next compaction pass would drop under the given policy.
 //
-// Inspection is strictly read-only: the backup store is opened
-// non-writable and --history only ever reads the index, so pointing this
-// tool at a crashed directory never changes what a later recovery will
-// see.
+// Inspection is strictly read-only: both stores are opened non-writable
+// and --history only ever reads the index, so pointing this tool at a
+// crashed directory (or a mistyped path) never changes what a later
+// recovery will see.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -36,6 +38,59 @@ namespace {
 
 bool Contains(const std::vector<uint64_t>& ids, uint64_t id) {
   return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+std::string TickRange(const LogicalLog::ReplayStats& range) {
+  if (range.records_applied == 0) return "(no intact record)";
+  return "[" + std::to_string(range.first_tick) + ", " +
+         std::to_string(range.last_tick) + "]";
+}
+
+/// The logical-log chain in replay order: the segments history owns, the
+/// live sealed segments, and the open segment, each with the ticks of its
+/// intact records (a history segment only up to its indexed last tick) and
+/// its size. Returns false when there is no chain at all.
+bool PrintChain(const std::string& dir) {
+  struct Row {
+    std::string name, owner, path;
+    uint64_t last_tick;
+  };
+  std::vector<Row> rows;
+  auto index_or = ShardHistory::ReadIndex(dir);
+  if (index_or.ok()) {
+    for (const auto& seg : index_or->segments) {
+      const std::string name = paths::HistorySegmentFileName(seg.id);
+      rows.push_back({paths::HistoryDirName() + "/" + name, "history",
+                      paths::HistoryDir(dir) + "/" + name, seg.last_tick});
+    }
+  }
+  auto live_or = LogicalLog::LiveChain(dir);
+  TP_CHECK_OK(live_or.status());
+  const std::string open = paths::LogicalLogPath(dir);
+  for (const LogSegment& seg : live_or.value()) {
+    if (seg.path == open) continue;
+    rows.push_back({std::filesystem::path(seg.path).filename().string(),
+                    "live, sealed", seg.path, UINT64_MAX});
+  }
+  if (FileExists(open)) {
+    rows.push_back({paths::LogicalLogFileName(), "live, open", open,
+                    UINT64_MAX});
+  }
+  if (rows.empty()) return false;
+  TablePrinter table({"segment", "owner", "durable ticks", "bytes"});
+  for (const Row& row : rows) {
+    auto range_or = LogicalLog::Replay(row.path, 0, row.last_tick, nullptr);
+    std::error_code ec;
+    const uint64_t bytes = std::filesystem::file_size(row.path, ec);
+    table.AddRow({row.name, row.owner,
+                  range_or.ok() ? TickRange(range_or.value())
+                                : range_or.status().ToString(),
+                  ec ? "-" : std::to_string(bytes)});
+  }
+  std::printf("logical-log chain (replay order)\n");
+  table.Print();
+  std::printf("\n");
+  return true;
 }
 
 /// The --history mode: generation table, retained window, compaction
@@ -88,16 +143,13 @@ int InspectHistory(const std::string& dir, const Flags& flags) {
   if (!index.segments.empty()) {
     TablePrinter table({"segment", "ticks", "bytes", "next compaction"});
     for (const auto& seg : index.segments) {
-      const char* fate = Contains(plan.drop_segments, seg.id) ? "DROP"
-                         : Contains(plan.rewrite_segments, seg.id)
-                             ? "REWRITE"
-                             : "keep";
       table.AddRow({std::to_string(seg.id),
                     "[" + std::to_string(seg.first_tick) + ", " +
                         std::to_string(seg.last_tick) + "]",
-                    std::to_string(seg.bytes), fate});
+                    std::to_string(seg.bytes),
+                    Contains(plan.drop_segments, seg.id) ? "DROP" : "keep"});
     }
-    std::printf("archived logical-log segments\n");
+    std::printf("history-owned logical-log segments\n");
     table.Print();
     std::printf("\n");
   }
@@ -124,11 +176,10 @@ int InspectHistory(const std::string& dir, const Flags& flags) {
   } else {
     std::printf(
         "compaction under max-generations=%llu would drop %zu "
-        "generation(s), drop %zu segment(s), rewrite %zu segment(s); the "
-        "window base moves to tick %llu.\n",
+        "generation(s) and %zu segment(s); the window base moves to tick "
+        "%llu.\n",
         static_cast<unsigned long long>(policy.max_generations),
         plan.drop_generations.size(), plan.drop_segments.size(),
-        plan.rewrite_segments.size(),
         static_cast<unsigned long long>(plan.window_base));
   }
   return 0;
@@ -201,7 +252,7 @@ int main(int argc, char** argv) {
   // Checkpoint-log generations.
   bool any_log = false;
   {
-    auto store_or = LogStore::Open(dir, layout, false);
+    auto store_or = LogStore::Open(dir, layout, false, /*writable=*/false);
     TP_CHECK_OK(store_or.status());
     for (uint64_t gen = 0; gen <= store_or.value()->current_generation();
          ++gen) {
@@ -236,16 +287,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Logical log.
-  const std::string logical = paths::LogicalLogPath(dir);
-  if (FileExists(logical)) {
-    auto count_or = LogicalLog::CountDurableTicks(logical);
-    TP_CHECK_OK(count_or.status());
-    std::printf("logical log: %llu durable tick records\n",
-                static_cast<unsigned long long>(count_or.value()));
+  // Logical-log chain.
+  if (PrintChain(dir)) {
     std::printf(
         "recovery would restore through tick %llu from checkpoints, then "
-        "replay the logical log forward.\n",
+        "replay the chain forward.\n",
         static_cast<unsigned long long>(best_tick));
   } else if (!any_backup && !any_log) {
     std::printf("no tickpoint artifacts found in %s\n", dir.c_str());
